@@ -121,11 +121,15 @@ def cmd_train(args):
 
     if args.kind == "baseline":
         opts = _merged_options(args, BASELINE_KEYS)
-        epochs = int(opts.get("epochs") or 10)
-        seed = int(opts.get("seed") or 0)
-        window = int(opts.get("window") or 3)
-        history = int(opts.get("history") or 2)
-        per_tag = bool(opts.get("per_tag") or False)
+
+        def opt(key, default):  # an explicit 0 is a value, not "unset"
+            return default if opts.get(key) is None else opts[key]
+
+        epochs = int(opt("epochs", 10))
+        seed = int(opt("seed", 0))
+        window = int(opt("window", 3))
+        history = int(opt("history", 2))
+        per_tag = bool(opt("per_tag", False))
         if epochs < 1 or window < 0 or history < 0:
             raise DataError("invalid baseline hyperparameters")
         lines = [
@@ -193,7 +197,10 @@ def cmd_predict(args):
             model = bl.load_baseline(args.model)
             rows = [(b, t, 1, model.predict(b, t), 0.0) for b, t in queries]
         else:
-            params, vocab, _ = seq2seq.load_model(args.model)
+            try:
+                params, vocab, _ = seq2seq.load_model(args.model)
+            except ValueError as e:  # corrupt, or not the model its sidecar describes
+                raise ModelError(str(e)) from None
             beam = max(args.beam or params.config.beam, args.k)
             rows = []
             for b, t in queries:

@@ -132,17 +132,32 @@ def tanh(a):
     return Tensor(out, parents=(a,), backward=lambda g: (g * (1.0 - out * out),))
 
 
+def sigmoid_array(x):
+    """Logistic function of a plain array, stable for large |x|."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def softmax_array(x):
+    """Softmax of a plain array over its last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax_array(x):
+    """Log-softmax of a plain array over its last axis; every entry is <= 0."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - logz
+
+
 def sigmoid(a):
-    x = a.values
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = sigmoid_array(a.values)
     return Tensor(out, parents=(a,), backward=lambda g: (g * out * (1.0 - out),))
 
 
 def softmax(a):
-    x = a.values
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_array(a.values)
 
     def bw(g):
         return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
@@ -151,10 +166,7 @@ def softmax(a):
 
 
 def log_softmax(a):
-    x = a.values
-    shifted = x - x.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - logz
+    out = log_softmax_array(a.values)
 
     def bw(g):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
@@ -333,16 +345,25 @@ def save_params(path, params, meta=None):
 
 
 def load_params(path):
-    """Inverse of save_params; returns (params dict, meta dict). Bit-exact."""
+    """Inverse of save_params; returns (params dict, meta dict). Bit-exact.
+
+    A file that cannot be read as a checkpoint raises ValueError naming the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "derivgen-checkpoint":
+        try:
+            payload = json.load(fh)
+        except ValueError as e:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"{path}: unreadable checkpoint: {e}") from None
+    if not isinstance(payload, dict) or payload.get("format") != "derivgen-checkpoint":
         raise ValueError(f"{path}: not a derivgen checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     params = {}
-    for name, entry in payload["params"].items():
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
-        params[name] = parameter(arr)
+    try:
+        for name, entry in payload["params"].items():
+            raw = base64.b64decode(entry["data"])
+            arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+            params[name] = parameter(arr)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: corrupt tensor data: {type(e).__name__}: {e}") from None
     return params, payload.get("meta", {})

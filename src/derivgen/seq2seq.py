@@ -3,15 +3,15 @@
 Bidirectional GRU encoder, single-layer GRU decoder with additive
 attention, tanh output MLP, trained by teacher-forced negative
 log-likelihood under Adadelta. Generation is beam search returning a
-k-best list of hypotheses.
+k-best list of hypotheses; it runs on plain arrays, batched over the live
+beam, and builds no gradient tape.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,21 +113,25 @@ def gru_step(params, prefix, x, h):
 
 @dataclass
 class EncodedSource:
-    hidden: object          # Tensor (n, 2*hidden): concatenated [fwd; bwd] states
-    annot_proj: object      # Tensor (n, hidden): attention key projection U @ h_i
-    init_state: object      # Tensor (hidden,): decoder start state
+    """Encoder output; Tensors from ``encode``, plain arrays from ``ArrayModel.encode``."""
+
+    hidden: object          # (n, 2*hidden): concatenated [fwd; bwd] states
+    annot_proj: object      # (n, hidden): attention key projection U @ h_i
+    init_state: object      # (hidden,): decoder start state
     source_length: int
-    forward_states: list = field(default_factory=list)
-    backward_states: list = field(default_factory=list)
+
+
+def _check_source(source_ids, vocab_size):
+    if not len(source_ids):
+        raise ValueError("encode: empty source sequence")
+    for i in source_ids:
+        if not 0 <= int(i) < vocab_size:
+            raise ValueError(f"encode: id {i} out of vocabulary range [0, {vocab_size})")
 
 
 def encode(source_ids, params):
     """Run both encoder directions and precompute attention projections."""
-    if not len(source_ids):
-        raise ValueError("encode: empty source sequence")
-    for i in source_ids:
-        if not 0 <= int(i) < params.vocab_size:
-            raise ValueError(f"encode: id {i} out of vocabulary range [0, {params.vocab_size})")
+    _check_source(source_ids, params.vocab_size)
     h = params.config.hidden
     embs = [nm.row(params["src_emb"], i) for i in source_ids]
     fwd = []
@@ -144,7 +148,7 @@ def encode(source_ids, params):
     hidden = nm.stack([nm.concat([f, b]) for f, b in zip(fwd, bwd)])
     annot_proj = nm.matmul(hidden, _transpose(params["att_U"]))
     init_state = nm.tanh(nm.add(nm.matmul(params["init_W"], bwd[0]), params["init_b"]))
-    return EncodedSource(hidden, annot_proj, init_state, len(source_ids), fwd, bwd)
+    return EncodedSource(hidden, annot_proj, init_state, len(source_ids))
 
 
 def _transpose(t):
@@ -187,14 +191,85 @@ def sequence_loss(triple, params, vocab):
     return loss
 
 
+class ArrayModel:
+    """The parameters as plain arrays, for decoding without a gradient tape.
+
+    Each GRU's z/r/h gate matrices are stacked so that one matmul projects
+    its input for all three gates; the biases are folded into that
+    projection. The stacked matrices are copies, so a model built before
+    the parameters change does not see the change.
+    """
+
+    def __init__(self, params):
+        self.hidden = params.config.hidden
+        self.vocab_size = params.vocab_size
+        self.v = v = {name: t.values for name, t in params.tensors.items()}
+        self.enc_f, self.enc_b, self.dec = (
+            (np.concatenate([v[f"{prefix}_W{g}"] for g in "zrh"]),    # (3H, in)
+             np.concatenate([v[f"{prefix}_b{g}"] for g in "zrh"]),    # (3H,)
+             np.concatenate([v[f"{prefix}_Uz"], v[f"{prefix}_Ur"]]),  # (2H, H)
+             v[f"{prefix}_Uh"])                                       # (H, H)
+            for prefix in ("enc_f", "enc_b", "dec"))
+
+    def _gru(self, gru, gx, h):
+        """GRU update from the input projection ``gx`` (rows of [z | r | h])."""
+        n = self.hidden
+        _, _, u_zr, u_h = gru
+        gh = h @ u_zr.T
+        z = nm.sigmoid_array(gx[..., :n] + gh[..., :n])
+        r = nm.sigmoid_array(gx[..., n:2 * n] + gh[..., n:])
+        h_tilde = np.tanh(gx[..., 2 * n:] + (r * h) @ u_h.T)
+        return (1.0 - z) * h + z * h_tilde
+
+    def _run(self, gru, x):
+        w, b, _, _ = gru
+        gx = x @ w.T + b
+        h = np.zeros(self.hidden)
+        states = []
+        for row in gx:
+            h = self._gru(gru, row, h)
+            states.append(h)
+        return np.array(states)
+
+    def encode(self, source_ids):
+        """``encode`` on arrays: both directions, one input matmul each."""
+        _check_source(source_ids, self.vocab_size)
+        v = self.v
+        x = v["src_emb"][np.asarray(source_ids, dtype=np.intp)]
+        fwd = self._run(self.enc_f, x)
+        bwd = self._run(self.enc_b, x[::-1])[::-1]
+        hidden = np.concatenate([fwd, bwd], axis=1)
+        init_state = np.tanh(v["init_W"] @ bwd[0] + v["init_b"])
+        return EncodedSource(hidden, hidden @ v["att_U"].T, init_state, len(source_ids))
+
+    def step(self, prev_tokens, states, enc):
+        """``decode_step`` for B hypotheses at once: token ids (B,) and decoder
+        states (B, H) in; next states (B, H) and log-distributions (B, |V|) out."""
+        v = self.v
+        emb = v["tgt_emb"][prev_tokens]
+        scores = np.tanh(enc.annot_proj + (states @ v["att_W"].T)[:, None, :]) @ v["att_v"]
+        context = nm.softmax_array(scores) @ enc.hidden
+        w, b, _, _ = self.dec
+        gx = np.concatenate([emb, context], axis=1) @ w.T + b
+        next_states = self._gru(self.dec, gx, states)
+        mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
+                      + v["out_b1"])
+        return next_states, nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
+
+
 @dataclass
 class Hypothesis:
     tokens: tuple          # output ids, ending in EOS iff it terminated
     log_prob: float
-    decoder_state: np.ndarray
+    finished: bool         # True if it ended at EOS, False if cut at the length cap
 
     def text(self, vocab):
         return vocab.decode_output(self.tokens)
+
+
+def _rank(hyp):
+    """Sort key of (log_prob, tokens, ...) tuples: best first, then shorter, then by ids."""
+    return -hyp[0], len(hyp[1]), hyp[1]
 
 
 def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
@@ -202,6 +277,12 @@ def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
 
     The returned list is sorted by descending log-probability, ties broken
     by shorter token sequence then lexicographic ids; no duplicates.
+
+    Each step advances the whole live beam in one batched ``ArrayModel.step``.
+    The search stops before the cap once k hypotheses have finished and no
+    live one scores above the k-th of them: an extension never scores more
+    than its prefix and is longer than every finished hypothesis, so it
+    would rank below all k.
     """
     if not (beam >= k >= 1):
         raise ValueError(f"need beam >= k >= 1, got beam={beam}, k={k}")
@@ -209,39 +290,45 @@ def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
         max_len = len(source_ids) + params.config.max_extra
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    enc = encode(source_ids, params)
-    eos = vocab.eos_id
-    live = [(0.0, (), enc.init_state, vocab.bos_id)]
-    done = []
+    model = ArrayModel(params)
+    enc = model.encode(source_ids)
+    eos, size = vocab.eos_id, params.vocab_size
+    live = [(0.0, ())]
+    states = enc.init_state[None, :]
+    prev = np.array([vocab.bos_id])
+    done = []  # the best k finished hypotheses so far, in rank order
     for _ in range(max_len):
+        states, log_probs = model.step(prev, states, enc)
+        scores = (np.array([lp for lp, _ in live])[:, None] + log_probs).ravel()
+        # Walking the ranked expansions below stops after `beam` live ones and
+        # meets at most one EOS expansion per parent, so it never passes the
+        # (beam + B)-th best score; all expansions tied with it are kept.
+        m = min(beam + len(live), scores.size)
+        cut = np.partition(scores, scores.size - m)[scores.size - m]
+        candidates = []
+        for i in np.flatnonzero(scores >= cut):
+            parent, tok = divmod(int(i), size)
+            candidates.append((float(scores[i]), live[parent][1] + (tok,), parent))
+        candidates.sort(key=_rank)
+        live, parents = [], []
+        for logp, tokens, parent in candidates:
+            if tokens[-1] == eos:
+                done.append((logp, tokens))
+            else:
+                live.append((logp, tokens))
+                parents.append(parent)
+                if len(live) >= beam:
+                    break
+        done = sorted(done, key=_rank)[:k]
+        if len(done) == k and live and live[0][0] <= done[-1][0]:
+            live = []  # exact early stop: no live hypothesis can enter the k-best
         if not live:
             break
-        expansions = []
-        for logp, tokens, state, prev in live:
-            new_state, log_dist, _ = decode_step(prev, state, enc, params)
-            lp = log_dist.values
-            for tok in range(len(lp)):
-                expansions.append((logp + float(lp[tok]), tokens + (tok,), new_state, tok))
-        expansions.sort(key=lambda h: (-h[0], len(h[1]), h[1]))
-        live = []
-        for cand in expansions:
-            if cand[3] == eos:
-                done.append(cand)
-            else:
-                live.append(cand)
-            if len(live) >= beam:
-                break
-    done.extend(live)  # length-capped hypotheses compete with finished ones
-    seen = set()
-    hyps = []
-    for logp, tokens, state, _ in sorted(done, key=lambda h: (-h[0], len(h[1]), h[1])):
-        if tokens in seen:
-            continue
-        seen.add(tokens)
-        hyps.append(Hypothesis(tokens, logp, state.values.copy()))
-        if len(hyps) == k:
-            break
-    return hyps
+        states = states[parents]
+        prev = np.array([tokens[-1] for _, tokens in live])
+    # live hypotheses left at the cap compete with the finished ones
+    best = sorted(done + live, key=_rank)[:k]
+    return [Hypothesis(tokens, logp, tokens[-1] == eos) for logp, tokens in best]
 
 
 def greedy_decode(source_ids, params, vocab, max_len=None):
@@ -334,14 +421,44 @@ def save_model(path, params, vocab, meta=None):
         fh.write("\n")
 
 
+class _NoDraws:
+    """Random-generator stand-in for building a model whose values are loaded.
+
+    ``Seq2SeqParams`` still gives the names and shapes that the loaded
+    tensors must have, but ``numpy.random`` is never imported: its extension
+    modules would add about 6 MB to the memory of a process that only
+    predicts.
+    """
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 def load_model(path):
+    """Inverse of save_model.
+
+    The tensors must have exactly the names and shapes that the sidecar's
+    vocab and config give; anything else, or a file that cannot be read,
+    raises ValueError naming the file.
+    """
     tensors, _ = nm.load_params(path)
-    with open(path + ".meta.json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    vocab = Vocab.from_dict(sidecar["vocab"])
-    config = Seq2SeqConfig.from_dict(sidecar["config"])
-    params = Seq2SeqParams.__new__(Seq2SeqParams)
-    params.vocab_size = len(vocab)
-    params.config = config
-    params.tensors = tensors
+    sidecar_path = path + ".meta.json"
+    try:
+        with open(sidecar_path, "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        vocab = Vocab.from_dict(sidecar["vocab"])
+        config = Seq2SeqConfig.from_dict(sidecar["config"])
+        params = Seq2SeqParams(len(vocab), config, rng=_NoDraws)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{sidecar_path}: unreadable model sidecar: "
+                         f"{type(e).__name__}: {e}") from None
+    expected = {name: t.shape for name, t in params.tensors.items()}
+    for name in sorted(expected.keys() | tensors.keys()):
+        got = tensors[name].shape if name in tensors else "none (missing)"
+        want = expected.get(name, "none (not a model tensor)")
+        if got != want:
+            raise ValueError(f"{path}: tensor {name} has shape {got}, but the vocab and "
+                             f"config in {sidecar_path} give {want}")
+    params.restore({name: t.values for name, t in tensors.items()})
     return params, vocab, sidecar.get("metrics", {})

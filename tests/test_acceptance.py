@@ -136,7 +136,7 @@ class TestPaperNumbers:
         kbest = [[p for p, _ in predict_kbest(params, vocab, t.base, t.tag, beam=12, k=10)]
                  for t in split.test]
         rep = evaluate(kbest, split.test)
-        f1 = {row.affix: row.f1 for row in rep.affix_f1}
+        f1 = {row.affix: row.f1 for row in rep.affix_rows}
         report("affix F1 ordering ly > er > ee with F1(ly) >= 0.95",
                f1["ly"] > f1["er"] > f1["ee"] and f1["ly"] >= 0.95,
                f"ly={f1.get('ly')} er={f1.get('er')} ee={f1.get('ee')}")

@@ -1,10 +1,17 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
+from derivgen import numeric as nm
 from derivgen.cli import main
-from derivgen.corpus import Triple, write_triples
+from derivgen.corpus import Triple, Vocab, write_triples
+from derivgen.seq2seq import Seq2SeqConfig, Seq2SeqParams, save_model
 from derivgen.synthetic import generate
+
+BENCH_CHECKPOINT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench", "checkpoint", "s2s-emb32-h64.ckpt")
 
 
 def run(args):
@@ -152,9 +159,98 @@ class TestTrainPredictEvaluate:
         assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
                     "--model", str(tmp_path / "m"), "--epochs", "0"]) == 2
 
+    def test_explicit_zero_is_a_value(self, tmp_path, toy_dataset):
+        splits = tmp_path / "splits"
+        run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
+        model = tmp_path / "b.model"
+        assert run(["train", "--kind", "baseline", "--splits", str(splits), "--model", str(model),
+                    "--window", "0", "--history", "0", "--epochs", "1"]) == 0
+        header = (tmp_path / "b.model.log").read_text().splitlines()[0]
+        assert "window=0 history=0 epochs=1 seed=0" in header
+        # the range checks still apply to explicit values
+        for bad in (["--epochs", "0"], ["--window", "-1"], ["--history", "-1"]):
+            assert run(["train", "--kind", "baseline", "--splits", str(splits),
+                        "--model", str(model)] + bad) == 2
+
     def test_missing_splits_is_data_error(self, tmp_path):
         assert run(["train", "--kind", "baseline", "--splits", str(tmp_path / "none"),
                     "--model", str(tmp_path / "m")]) == 2
+
+
+def _corrupt_checkpoint(path, params, vocab):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:26] + "\x01" + text[27:], encoding="utf-8")
+
+
+def _truncate_checkpoint(path, params, vocab):
+    path.write_text(path.read_text(encoding="utf-8")[:100], encoding="utf-8")
+
+
+def _wrong_shape(path, params, vocab):
+    params.tensors["att_U"] = nm.parameter(np.zeros((3, 5)))
+    save_model(str(path), params, vocab)
+
+
+def _missing_tensor(path, params, vocab):
+    del params.tensors["out_b2"]
+    save_model(str(path), params, vocab)
+
+
+def _sidecar_disagrees(path, params, vocab):
+    sidecar = path.parent / (path.name + ".meta.json")
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    meta["config"]["hidden"] = 5
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _corrupt_sidecar(path, params, vocab):
+    (path.parent / (path.name + ".meta.json")).write_text("{not json", encoding="utf-8")
+
+
+class TestModelFiles:
+    """A seq2seq model file that cannot be read, or does not fit the model its
+    sidecar describes, is a model error (exit 3) naming the file."""
+
+    @staticmethod
+    def predict(model, tmp_path, queries="ab\tT\nba\tT\n"):
+        path = tmp_path / "q.tsv"
+        path.write_text(queries, encoding="utf-8")
+        return run(["predict", "--model", str(model), "--input", str(path), "--k", "2"])
+
+    @staticmethod
+    def saved(tmp_path):
+        vocab = Vocab(list("ab"), ["T"])
+        params = Seq2SeqParams(len(vocab), Seq2SeqConfig(emb=4, hidden=3, seed=2))
+        path = tmp_path / "m.ckpt"
+        save_model(str(path), params, vocab)
+        return path, params, vocab
+
+    def test_intact_model_predicts(self, tmp_path, capsys):
+        path, _, _ = self.saved(tmp_path)
+        assert self.predict(path, tmp_path) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    @pytest.mark.parametrize("damage, names", [
+        (_corrupt_checkpoint, ("m.ckpt", "unreadable checkpoint")),
+        (_truncate_checkpoint, ("m.ckpt", "unreadable checkpoint")),
+        (_wrong_shape, ("m.ckpt", "att_U", "(3, 5)", "(3, 6)")),
+        (_missing_tensor, ("m.ckpt", "out_b2", "missing")),
+        (_sidecar_disagrees, ("m.ckpt", "m.ckpt.meta.json")),
+        (_corrupt_sidecar, ("m.ckpt.meta.json",)),
+    ])
+    def test_damaged_model_is_model_error(self, tmp_path, capsys, damage, names):
+        path, params, vocab = self.saved(tmp_path)
+        damage(path, params, vocab)
+        assert self.predict(path, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        for name in names:
+            assert name in err
+
+    def test_committed_benchmark_checkpoint_loads(self, tmp_path, capsys):
+        assert self.predict(BENCH_CHECKPOINT, tmp_path, "quick\tADVERB\nbake\tAGENT\n") == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [r[2] for r in rows] == ["1", "2", "1", "2"]
 
 
 class TestConfigFile:

@@ -6,6 +6,7 @@ import pytest
 from derivgen import numeric as nm
 from derivgen.corpus import Triple, Vocab, build_vocab, split_dataset
 from derivgen.seq2seq import (
+    ArrayModel,
     EncodedSource,
     Seq2SeqConfig,
     Seq2SeqParams,
@@ -64,19 +65,20 @@ class TestEncode:
         assert np.all(enc.hidden.values == 0.0)
 
     def test_direction_symmetry_with_shared_weights(self):
-        # with forward weights copied into the backward cell, running the
-        # reversed input forward equals the backward states mirrored
+        # with forward weights copied into the backward cell, the forward
+        # half of the states for the reversed input equals the backward half
+        # for the input, mirrored
         params, vocab = micro_params(seed=3)
         for gate in ("z", "r", "h"):
             for kind in ("W", "U", "b"):
                 params.tensors[f"enc_b_{kind}{gate}"].values[...] = \
                     params.tensors[f"enc_f_{kind}{gate}"].values
         ids = vocab.encode_source("ab", "T")
-        fwd_of_reversed = encode(list(reversed(ids)), params).forward_states
-        bwd = encode(ids, params).backward_states
-        n = len(ids)
-        for i in range(n):
-            assert np.allclose(fwd_of_reversed[i].values, bwd[n - 1 - i].values)
+        h = params.config.hidden
+        fwd_of_reversed = encode(list(reversed(ids)), params).hidden.values[:, :h]
+        bwd = encode(ids, params).hidden.values[:, h:]
+        assert np.allclose(fwd_of_reversed, bwd[::-1])
+        assert not np.allclose(bwd, bwd[::-1])  # the mirroring is not vacuous
 
 
 class TestAttend:
@@ -150,6 +152,53 @@ class TestDecodeStep:
         assert loss == pytest.approx(total, abs=1e-9)
 
 
+class TestArrayModel:
+    """The tape-free inference path against the tape-built reference."""
+
+    @staticmethod
+    def random_model(seed):
+        vocab = Vocab(list("abc"), ["T", "U"])
+        params = Seq2SeqParams(len(vocab), Seq2SeqConfig(emb=5, hidden=4, seed=seed,
+                                                         init_scale=0.7))
+        rng = np.random.default_rng(seed)
+        for t in params.tensors.values():  # biases start at zero; make them count
+            t.values[...] = rng.uniform(-0.7, 0.7, size=t.values.shape)
+        return params, vocab
+
+    def test_encode_matches_tape_encode(self):
+        for seed in range(5):
+            params, vocab = self.random_model(seed)
+            for base, tag in (("a", "T"), ("abcab", "U"), ("cc", "T")):
+                src = vocab.encode_source(base, tag)
+                ref = encode(src, params)
+                got = ArrayModel(params).encode(src)
+                assert got.source_length == ref.source_length
+                for field in ("hidden", "annot_proj", "init_state"):
+                    want = getattr(ref, field).values
+                    assert getattr(got, field).shape == want.shape
+                    assert np.max(np.abs(getattr(got, field) - want)) < 1e-12
+
+    def test_batched_step_matches_decode_step_row_by_row(self):
+        for seed in range(5):
+            params, vocab = self.random_model(seed)
+            src = vocab.encode_source("abca", "T")
+            enc = encode(src, params)
+            # distinct states: the start state and the states after tape steps
+            # on different tokens
+            states = [enc.init_state]
+            for tok in (vocab.bos_id, vocab.char_id("a"), vocab.char_id("c")):
+                states.append(decode_step(tok, states[-1], enc, params)[0])
+            prev = [vocab.bos_id, vocab.char_id("b"), vocab.char_id("c"), vocab.eos_id]
+            model = ArrayModel(params)
+            got_states, got_log_probs = model.step(
+                np.array(prev), np.stack([s.values for s in states]), model.encode(src))
+            assert got_states.shape == (4, 4) and got_log_probs.shape == (4, len(vocab))
+            for i, (tok, state) in enumerate(zip(prev, states)):
+                want_state, want_log_dist, _ = decode_step(tok, state, enc, params)
+                assert np.max(np.abs(got_states[i] - want_state.values)) < 1e-12
+                assert np.max(np.abs(got_log_probs[i] - want_log_dist.values)) < 1e-12
+
+
 class TestSequenceLoss:
     def test_uniform_distribution_analytic_value(self):
         params, vocab = micro_params()
@@ -218,6 +267,19 @@ class TestBeamSearch:
         with pytest.raises(ValueError, match="max_len"):
             beam_search(src, params, vocab, beam=2, k=1, max_len=0)
 
+    def test_finished_flag(self):
+        # max_len 2 leaves a two-token cap: the 10-best mixes EOS-terminated
+        # hypotheses with ones cut at the cap
+        params, vocab = micro_params(seed=17)
+        hyps = beam_search(vocab.encode_source("ab", "T"), params, vocab, beam=12, k=10,
+                           max_len=2)
+        assert {h.finished for h in hyps} == {True, False}
+        for h in hyps:
+            if h.finished:
+                assert h.tokens[-1] == vocab.eos_id
+            else:
+                assert len(h.tokens) == 2 and vocab.eos_id not in h.tokens
+
     def test_hypothesis_log_prob_is_chain_sum(self):
         params, vocab = micro_params(seed=16)
         src = vocab.encode_source("ab", "T")
@@ -231,6 +293,57 @@ class TestBeamSearch:
             total += float(log_dist.values[tok])
             prev = tok
         assert hyp.log_prob == pytest.approx(total, abs=1e-9)
+
+
+class TestKBestOracle:
+    """Every k-best list against exhaustive enumeration, with a beam wide
+    enough to hold every prefix, so only the search's stopping rule and its
+    candidate selection can make it differ.
+
+    A step keeps expansions in rank order until it has ``beam`` live ones, so
+    an EOS expansion ranked below all of them is dropped. The beam is one
+    wider than the (|V| - 1) ** (max_len - 1) live prefixes of the step
+    before the cap, so no step before the cap ever stops short.
+    """
+
+    MAX_LEN = 3
+
+    @staticmethod
+    def enumerate_scored(src, params, vocab, max_len):
+        """(log_prob, tokens) of every complete output: EOS-terminated, or
+        cut at ``max_len``; prefixes are scored once with the tape step."""
+        enc = encode(src, params)
+        out = []
+        frontier = [((), 0.0, enc.init_state, vocab.bos_id)]
+        for length in range(1, max_len + 1):
+            nxt = []
+            for tokens, logp, state, prev in frontier:
+                state, log_dist, _ = decode_step(prev, state, enc, params)
+                for tok in range(len(vocab)):
+                    item = (tokens + (tok,), logp + float(log_dist.values[tok]), state, tok)
+                    if tok == vocab.eos_id or length == max_len:
+                        out.append((item[1], item[0]))
+                    else:
+                        nxt.append(item)
+            frontier = nxt
+        return sorted(out, key=lambda h: (-h[0], len(h[1]), h[1]))
+
+    def test_every_k_on_fifty_micro_instances(self):
+        vocab = Vocab(["a"], ["T"])
+        beam = (len(vocab) - 1) ** (self.MAX_LEN - 1) + 1
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            params = Seq2SeqParams(len(vocab), Seq2SeqConfig(
+                emb=3, hidden=2, seed=int(rng.integers(0, 10 ** 6)),
+                init_scale=float(rng.uniform(0.1, 3.0))))
+            src = vocab.encode_source("a" * int(rng.integers(1, 4)), "T")
+            oracle = self.enumerate_scored(src, params, vocab, self.MAX_LEN)
+            for k in range(1, 11):
+                hyps = beam_search(src, params, vocab, beam=beam, k=k, max_len=self.MAX_LEN)
+                assert [h.tokens for h in hyps] == [t for _, t in oracle[:k]]
+                for h, (logp, _) in zip(hyps, oracle):
+                    assert h.log_prob == pytest.approx(logp, abs=1e-12)
+                    assert h.finished == (h.tokens[-1] == vocab.eos_id)
 
 
 class TestTraining:
