@@ -134,7 +134,8 @@ def tanh(a):
 
 def sigmoid_array(x):
     """Logistic function of a plain array, stable for large |x|."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax_array(x):
@@ -174,16 +175,18 @@ def log_softmax(a):
     return Tensor(out, parents=(a,), backward=bw)
 
 
-def concat(tensors):
-    """Concatenate 1-D tensors along axis 0."""
-    sizes = [t.values.shape[0] for t in tensors]
-    out = np.concatenate([t.values for t in tensors])
+def concat(tensors, axis=0):
+    """Concatenate tensors along ``axis``."""
+    sizes = [t.values.shape[axis] for t in tensors]
+    out = np.concatenate([t.values for t in tensors], axis=axis)
 
     def bw(g):
         grads = []
         off = 0
+        index = [slice(None)] * g.ndim
         for n in sizes:
-            grads.append(g[off:off + n])
+            index[axis] = slice(off, off + n)
+            grads.append(g[tuple(index)])
             off += n
         return tuple(grads)
 
@@ -215,9 +218,27 @@ def row(table, index):
     return Tensor(table.values[index], parents=(table,), backward=bw)
 
 
+def gather(table, ids):
+    """Embedding lookup of a sequence: rows ``ids`` of a 2-D table, repeats
+    allowed, as a (len(ids), columns) tensor."""
+    ids = np.asarray(ids, dtype=np.intp)
+    n = table.values.shape[0]
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"gather: ids {ids.tolist()} out of range for table with {n} rows")
+
+    def bw(g):
+        gt = np.zeros_like(table.values)
+        np.add.at(gt, ids, g)
+        return (gt,)
+
+    return Tensor(table.values[ids], parents=(table,), backward=bw)
+
+
 def pick(a, index):
-    """Scalar element of a 1-D tensor."""
-    index = int(index)
+    """``a.values[index]``: an element or a row for an int index, or distinct
+    elements for a tuple of index arrays."""
+    if not isinstance(index, tuple):
+        index = int(index)
 
     def bw(g):
         ga = np.zeros_like(a.values)

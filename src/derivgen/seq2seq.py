@@ -2,7 +2,9 @@
 
 Bidirectional GRU encoder, single-layer GRU decoder with additive
 attention, tanh output MLP, trained by teacher-forced negative
-log-likelihood under Adadelta. Generation is beam search returning a
+log-likelihood under Adadelta. The training loss runs each encoder
+direction and the whole teacher-forced decoder as single tape nodes with
+hand-written backward passes. Generation is beam search returning a
 k-best list of hypotheses; it runs on plain arrays, batched over the live
 beam, and builds no gradient tape.
 """
@@ -96,6 +98,60 @@ class Seq2SeqParams:
             self.tensors[name].values[...] = values
 
 
+def _gru_names(prefix):
+    """The nine gate tensors of a GRU: W then U then b, each for z, r, h."""
+    return [f"{prefix}_{m}{g}" for m in "WUb" for g in "zrh"]
+
+
+def _stack_gru(arrays):
+    """(W (3H, in), b (3H,), U_zr (2H, H), U_h (H, H)) from the nine gate
+    arrays in ``_gru_names`` order: one matmul then projects an input for
+    all three gates, and one projects the state for z and r."""
+    wz, wr, wh, uz, ur, uh, bz, br, bh = arrays
+    return np.concatenate([wz, wr, wh]), np.concatenate([bz, br, bh]), np.concatenate([uz, ur]), uh
+
+
+def _gru_cell(gx, h, u_zr, u_h):
+    """GRU update on arrays from the input projection ``gx`` (rows of
+    [z | r | h]); for one state (H,) or a batch (B, H). Returns the new
+    state and the activations ``_gru_cell_back`` needs."""
+    n = h.shape[-1]
+    zr = nm.sigmoid_array(gx[..., :2 * n] + h @ u_zr.T)
+    z, r = zr[..., :n], zr[..., n:]
+    rh = r * h
+    h_tilde = np.tanh(gx[..., 2 * n:] + rh @ u_h.T)
+    return (1.0 - z) * h + z * h_tilde, (z, r, rh, h_tilde)
+
+
+def _gru_cell_back(d, h, acts, u_zr, u_h):
+    """Gradients of one ``_gru_cell`` step of state ``h`` from ``d``, the
+    gradient of its new state: w.r.t. the input projection and w.r.t. ``h``."""
+    z, r, _, h_tilde = acts
+    n = h.shape[-1]
+    da_h = d * z * (1.0 - h_tilde * h_tilde)
+    d_rh = da_h @ u_h
+    dgx = np.concatenate([d * (h_tilde - h) * z * (1.0 - z), d_rh * h * r * (1.0 - r), da_h])
+    return dgx, d * (1.0 - z) + d_rh * r + dgx[:2 * n] @ u_zr
+
+
+def _gru_param_grads(dgx, x, prev, rh):
+    """Gradients of the nine gate tensors, in ``_gru_names`` order, from the
+    per-step rows of the input-projection gradient ``dgx``, the inputs ``x``,
+    the states stepped from ``prev`` and their reset-gated ``rh``."""
+    n = prev.shape[1]
+    dw, du_zr, db = dgx.T @ x, dgx[:, :2 * n].T @ prev, dgx.sum(axis=0)
+    return (dw[:n], dw[n:2 * n], dw[2 * n:], du_zr[:n], du_zr[n:], dgx[:, 2 * n:].T @ rh,
+            db[:n], db[n:2 * n], db[2 * n:])
+
+
+def _attention(states, annot_proj, hidden, att_w, att_v):
+    """Additive attention on arrays for one state (H,) or a batch (B, H):
+    the contexts, the weights over source positions and the tanh activations."""
+    u = np.tanh(annot_proj + (states @ att_w.T)[..., None, :])
+    weights = nm.softmax_array(u @ att_v)
+    return weights @ hidden, weights, u
+
+
 def gru_step(params, prefix, x, h):
     """Standard GRU cell: h' = (1 - z) * h + z * h_tilde."""
     z = nm.sigmoid(nm.add(nm.add(nm.matmul(params[f"{prefix}_Wz"], x),
@@ -109,6 +165,42 @@ def gru_step(params, prefix, x, h):
                              params[f"{prefix}_bh"]))
     one = nm.constant(np.ones_like(z.values))
     return nm.add(nm.mul(nm.sub(one, z), h), nm.mul(z, h_tilde))
+
+
+def _gru_run(gx, u_zr, u_h, reverse=False):
+    """A GRU run on arrays from a zero state over the input projections
+    ``gx``, last row first if ``reverse``: the states, the states each step
+    started from and each step's activations, all in the rows' order."""
+    n, hid = len(gx), len(u_h)
+    out, prev, acts = np.empty((n, hid)), np.empty((n, hid)), [None] * n
+    h = np.zeros(hid)
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        prev[t] = h
+        h, acts[t] = _gru_cell(gx[t], h, u_zr, u_h)
+        out[t] = h
+    return out, prev, acts
+
+
+def _gru_layer(params, prefix, x, reverse=False):
+    """A GRU run from a zero state over the rows of ``x`` (last row first if
+    ``reverse``) as one tape node: the (n, H) states, in the rows' order.
+    Its backward pass runs back through time by hand."""
+    gates = [params[name] for name in _gru_names(prefix)]
+    w, b, u_zr, u_h = _stack_gru([t.values for t in gates])
+    xs = x.values
+    gx = xs @ w.T + b
+    out, prev, acts = _gru_run(gx, u_zr, u_h, reverse)
+
+    def bw(g):
+        dgx = np.empty_like(gx)
+        dh = np.zeros(len(u_h))
+        # back through time: the run's last step first
+        for t in (range(len(gx)) if reverse else range(len(gx) - 1, -1, -1)):
+            dgx[t], dh = _gru_cell_back(g[t] + dh, prev[t], acts[t], u_zr, u_h)
+        rh = np.array([a[2] for a in acts])
+        return (dgx @ w, *_gru_param_grads(dgx, xs, prev, rh))
+
+    return nm.Tensor(out, parents=(x, *gates), backward=bw)
 
 
 @dataclass
@@ -130,24 +222,19 @@ def _check_source(source_ids, vocab_size):
 
 
 def encode(source_ids, params):
-    """Run both encoder directions and precompute attention projections."""
+    """Run both encoder directions and precompute attention projections.
+
+    With an ``ArrayModel`` for ``params`` it runs on plain arrays instead.
+    """
+    if isinstance(params, ArrayModel):
+        return params.encode(source_ids)
     _check_source(source_ids, params.vocab_size)
-    h = params.config.hidden
-    embs = [nm.row(params["src_emb"], i) for i in source_ids]
-    fwd = []
-    state = nm.constant(np.zeros(h))
-    for x in embs:
-        state = gru_step(params, "enc_f", x, state)
-        fwd.append(state)
-    bwd_rev = []
-    state = nm.constant(np.zeros(h))
-    for x in reversed(embs):
-        state = gru_step(params, "enc_b", x, state)
-        bwd_rev.append(state)
-    bwd = list(reversed(bwd_rev))
-    hidden = nm.stack([nm.concat([f, b]) for f, b in zip(fwd, bwd)])
+    x = nm.gather(params["src_emb"], source_ids)
+    fwd = _gru_layer(params, "enc_f", x)
+    bwd = _gru_layer(params, "enc_b", x, reverse=True)
+    hidden = nm.concat([fwd, bwd], axis=1)
     annot_proj = nm.matmul(hidden, _transpose(params["att_U"]))
-    init_state = nm.tanh(nm.add(nm.matmul(params["init_W"], bwd[0]), params["init_b"]))
+    init_state = nm.tanh(nm.add(nm.matmul(params["init_W"], nm.pick(bwd, 0)), params["init_b"]))
     return EncodedSource(hidden, annot_proj, init_state, len(source_ids))
 
 
@@ -164,31 +251,91 @@ def attend(decoder_state_prev, enc, params):
     return context, weights
 
 
-def decode_step(prev_token, state, enc, params):
-    """One decoder step: attention, GRU update, log-distribution over outputs."""
+def _output_layer(params, features):
+    """Log-distributions over outputs from [emb; state; context] rows."""
+    mlp = nm.tanh(nm.add(nm.matmul(features, _transpose(params["out_W1"])), params["out_b1"]))
+    return nm.log_softmax(nm.add(nm.matmul(mlp, _transpose(params["out_W2"])), params["out_b2"]))
+
+
+def decode_step(prev_token, state, enc, params, rows=None):
+    """One decoder step: attention, GRU update, log-distribution over outputs.
+
+    It builds the tape op by op, and ``sequence_loss`` must agree with a
+    chain of these steps. With an ``ArrayModel`` for ``params`` it is the
+    batched step on plain arrays instead: ``prev_token`` holds B token ids,
+    ``state`` the states a step returned and ``rows`` the B rows of them to
+    advance (all by default).
+    """
+    if isinstance(params, ArrayModel):
+        return params.step(prev_token, state if rows is None else state[rows], enc)
     emb = nm.row(params["tgt_emb"], prev_token)
     context, weights = attend(state, enc, params)
     next_state = gru_step(params, "dec", nm.concat([emb, context]), state)
-    mlp = nm.tanh(nm.add(nm.matmul(params["out_W1"], nm.concat([emb, next_state, context])),
-                         params["out_b1"]))
-    logits = nm.add(nm.matmul(params["out_W2"], mlp), params["out_b2"])
-    return next_state, nm.log_softmax(logits), weights
+    return next_state, _output_layer(params, nm.concat([emb, next_state, context])), weights
+
+
+def _decoder_run(params, enc, emb):
+    """T teacher-forced decoder steps from ``enc.init_state`` as one tape node,
+    where ``emb`` (T, emb) embeds each step's previous token: the (T, 3H)
+    rows [state; context] of the steps. Its backward pass runs back through
+    time, attention included, by hand."""
+    gates = [params[name] for name in _gru_names("dec")]
+    att_w, att_v = params["att_W"], params["att_v"]
+    w, b, u_zr, u_h = _stack_gru([t.values for t in gates])
+    aw, av = att_w.values, att_v.values
+    hidden, annot_proj = enc.hidden.values, enc.annot_proj.values
+    e = emb.values
+    steps, n_emb, hid = len(e), e.shape[1], len(av)
+    prev, x = np.empty((steps, hid)), np.empty((steps, n_emb + 2 * hid))
+    out = np.empty((steps, 3 * hid))
+    weights, attn, acts = np.empty((steps, len(hidden))), [None] * steps, [None] * steps
+    s = enc.init_state.values
+    for t in range(steps):
+        prev[t] = s
+        context, weights[t], attn[t] = _attention(s, annot_proj, hidden, aw, av)
+        x[t, :n_emb], x[t, n_emb:] = e[t], context
+        s, acts[t] = _gru_cell(x[t] @ w.T + b, s, u_zr, u_h)
+        out[t, :hid], out[t, hid:] = s, context
+
+    def bw(g):
+        dgx, dx = np.empty((steps, 3 * hid)), np.empty_like(x)
+        da = np.empty((steps, hid))
+        d_proj, d_v = np.zeros_like(annot_proj), np.zeros(hid)
+        ds = np.zeros(hid)
+        for t in reversed(range(steps)):
+            dgx[t], ds = _gru_cell_back(g[t, :hid] + ds, prev[t], acts[t], u_zr, u_h)
+            dx[t] = dgx[t] @ w
+            dx[t, n_emb:] += g[t, hid:]
+            d_weights = hidden @ dx[t, n_emb:]
+            d_scores = weights[t] * (d_weights - weights[t] @ d_weights)
+            u = attn[t]
+            d_pre = np.outer(d_scores, av) * (1.0 - u * u)
+            d_v += d_scores @ u
+            d_proj += d_pre
+            da[t] = d_pre.sum(axis=0)
+            ds = ds + da[t] @ aw
+        rh = np.array([a[2] for a in acts])
+        return (dx[:, :n_emb], weights.T @ dx[:, n_emb:], d_proj, ds, da.T @ prev, d_v,
+                *_gru_param_grads(dgx, x, prev, rh))
+
+    return nm.Tensor(out, backward=bw, parents=(emb, enc.hidden, enc.annot_proj, enc.init_state,
+                                                att_w, att_v, *gates))
 
 
 def sequence_loss(triple, params, vocab):
-    """Teacher-forced negative log-likelihood of the derived form plus EOS."""
+    """Teacher-forced negative log-likelihood of the derived form plus EOS.
+
+    The decoder runs all steps in one node, and the output layer scores
+    them in one batch.
+    """
     source_ids = vocab.encode_source(triple.base, triple.tag)
     target_ids = vocab.encode_target(triple.derived)
     enc = encode(source_ids, params)
-    state = enc.init_state
-    prev = vocab.bos_id
-    loss = None
-    for y in target_ids:
-        state, log_dist, _ = decode_step(prev, state, enc, params)
-        term = nm.scale(nm.pick(log_dist, y), -1.0)
-        loss = term if loss is None else nm.add(loss, term)
-        prev = y
-    return loss
+    emb = nm.gather(params["tgt_emb"], [vocab.bos_id] + target_ids[:-1])
+    states = _decoder_run(params, enc, emb)
+    log_probs = _output_layer(params, nm.concat([emb, states], axis=1))
+    picked = nm.pick(log_probs, (np.arange(len(target_ids)), np.array(target_ids)))
+    return nm.scale(nm.sum_all(picked), -1.0)
 
 
 class ArrayModel:
@@ -201,35 +348,16 @@ class ArrayModel:
     """
 
     def __init__(self, params):
-        self.hidden = params.config.hidden
         self.vocab_size = params.vocab_size
         self.v = v = {name: t.values for name, t in params.tensors.items()}
         self.enc_f, self.enc_b, self.dec = (
-            (np.concatenate([v[f"{prefix}_W{g}"] for g in "zrh"]),    # (3H, in)
-             np.concatenate([v[f"{prefix}_b{g}"] for g in "zrh"]),    # (3H,)
-             np.concatenate([v[f"{prefix}_Uz"], v[f"{prefix}_Ur"]]),  # (2H, H)
-             v[f"{prefix}_Uh"])                                       # (H, H)
+            _stack_gru([v[name] for name in _gru_names(prefix)])
             for prefix in ("enc_f", "enc_b", "dec"))
 
-    def _gru(self, gru, gx, h):
-        """GRU update from the input projection ``gx`` (rows of [z | r | h])."""
-        n = self.hidden
-        _, _, u_zr, u_h = gru
-        gh = h @ u_zr.T
-        z = nm.sigmoid_array(gx[..., :n] + gh[..., :n])
-        r = nm.sigmoid_array(gx[..., n:2 * n] + gh[..., n:])
-        h_tilde = np.tanh(gx[..., 2 * n:] + (r * h) @ u_h.T)
-        return (1.0 - z) * h + z * h_tilde
-
-    def _run(self, gru, x):
-        w, b, _, _ = gru
-        gx = x @ w.T + b
-        h = np.zeros(self.hidden)
-        states = []
-        for row in gx:
-            h = self._gru(gru, row, h)
-            states.append(h)
-        return np.array(states)
+    @staticmethod
+    def _run(gru, x, reverse=False):
+        w, b, u_zr, u_h = gru
+        return _gru_run(x @ w.T + b, u_zr, u_h, reverse)[0]
 
     def encode(self, source_ids):
         """``encode`` on arrays: both directions, one input matmul each."""
@@ -237,24 +365,24 @@ class ArrayModel:
         v = self.v
         x = v["src_emb"][np.asarray(source_ids, dtype=np.intp)]
         fwd = self._run(self.enc_f, x)
-        bwd = self._run(self.enc_b, x[::-1])[::-1]
+        bwd = self._run(self.enc_b, x, reverse=True)
         hidden = np.concatenate([fwd, bwd], axis=1)
         init_state = np.tanh(v["init_W"] @ bwd[0] + v["init_b"])
         return EncodedSource(hidden, hidden @ v["att_U"].T, init_state, len(source_ids))
 
     def step(self, prev_tokens, states, enc):
         """``decode_step`` for B hypotheses at once: token ids (B,) and decoder
-        states (B, H) in; next states (B, H) and log-distributions (B, |V|) out."""
+        states (B, H) in; next states (B, H), log-distributions (B, |V|) and
+        attention weights (B, n) out."""
         v = self.v
         emb = v["tgt_emb"][prev_tokens]
-        scores = np.tanh(enc.annot_proj + (states @ v["att_W"].T)[:, None, :]) @ v["att_v"]
-        context = nm.softmax_array(scores) @ enc.hidden
-        w, b, _, _ = self.dec
+        context, weights, _ = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"])
+        w, b, u_zr, u_h = self.dec
         gx = np.concatenate([emb, context], axis=1) @ w.T + b
-        next_states = self._gru(self.dec, gx, states)
+        next_states = _gru_cell(gx, states, u_zr, u_h)[0]
         mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
                       + v["out_b1"])
-        return next_states, nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
+        return next_states, nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"]), weights
 
 
 @dataclass
@@ -278,7 +406,8 @@ def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
     The returned list is sorted by descending log-probability, ties broken
     by shorter token sequence then lexicographic ids; no duplicates.
 
-    Each step advances the whole live beam in one batched ``ArrayModel.step``.
+    Each step advances the whole live beam in one batched ``decode_step`` on
+    an ``ArrayModel``.
     The search stops before the cap once k hypotheses have finished and no
     live one scores above the k-th of them: an extension never scores more
     than its prefix and is longer than every finished hypothesis, so it
@@ -291,14 +420,14 @@ def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     model = ArrayModel(params)
-    enc = model.encode(source_ids)
+    enc = encode(source_ids, model)
     eos, size = vocab.eos_id, params.vocab_size
     live = [(0.0, ())]
-    states = enc.init_state[None, :]
+    states, parents = enc.init_state[None, :], None
     prev = np.array([vocab.bos_id])
     done = []  # the best k finished hypotheses so far, in rank order
     for _ in range(max_len):
-        states, log_probs = model.step(prev, states, enc)
+        states, log_probs, _ = decode_step(prev, states, enc, model, rows=parents)
         scores = (np.array([lp for lp, _ in live])[:, None] + log_probs).ravel()
         # Walking the ranked expansions below stops after `beam` live ones and
         # meets at most one EOS expansion per parent, so it never passes the
@@ -324,7 +453,6 @@ def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
             live = []  # exact early stop: no live hypothesis can enter the k-best
         if not live:
             break
-        states = states[parents]
         prev = np.array([tokens[-1] for _, tokens in live])
     # live hypotheses left at the cap compete with the finished ones
     best = sorted(done + live, key=_rank)[:k]

@@ -129,6 +129,30 @@ class TestBackward:
         assert err < 1e-4
 
 
+    def test_sequence_ops_against_finite_differences(self):
+        # gather with a repeated id, concat along columns, matmul of a matrix
+        # by a matrix, pick of a row and of distinct elements
+        table = nm.parameter(rng.normal(size=(4, 3)))
+        W = nm.parameter(rng.normal(size=(3, 5)))
+        c = nm.parameter(rng.normal(size=(3, 2)))
+
+        def build():
+            x = nm.gather(table, [2, 0, 2])
+            ones = nm.constant(np.ones((2, 5)))
+            h = nm.tanh(nm.matmul(nm.concat([x, c], axis=1), nm.concat([W, ones], axis=0)))
+            lp = nm.log_softmax(h)
+            rows = nm.sum_all(nm.mul(nm.pick(lp, 1), nm.pick(h, 2)))
+            return nm.add(rows, nm.sum_all(nm.pick(lp, (np.arange(3), np.array([4, 0, 4])))))
+
+        err = max_grad_rel_error(build, {"table": table, "W": W, "c": c})
+        assert err < 1e-4
+
+    def test_gather_range(self):
+        table = nm.parameter(rng.normal(size=(5, 3)))
+        assert np.array_equal(nm.gather(table, [4, 4, 0]).values, table.values[[4, 4, 0]])
+        with pytest.raises(ValueError, match="out of range"):
+            nm.gather(table, [0, 5])
+
 class TestAdadelta:
     def test_zero_gradient_leaves_params(self):
         p = nm.parameter(rng.normal(size=3))

@@ -15,6 +15,7 @@ from derivgen.seq2seq import (
     decode_step,
     encode,
     greedy_decode,
+    gru_step,
     load_model,
     predict_kbest,
     save_model,
@@ -190,16 +191,66 @@ class TestArrayModel:
                 states.append(decode_step(tok, states[-1], enc, params)[0])
             prev = [vocab.bos_id, vocab.char_id("b"), vocab.char_id("c"), vocab.eos_id]
             model = ArrayModel(params)
-            got_states, got_log_probs = model.step(
+            got_states, got_log_probs, got_weights = model.step(
                 np.array(prev), np.stack([s.values for s in states]), model.encode(src))
             assert got_states.shape == (4, 4) and got_log_probs.shape == (4, len(vocab))
+            assert got_weights.shape == (4, len(src))
             for i, (tok, state) in enumerate(zip(prev, states)):
-                want_state, want_log_dist, _ = decode_step(tok, state, enc, params)
+                want_state, want_log_dist, want_weights = decode_step(tok, state, enc, params)
                 assert np.max(np.abs(got_states[i] - want_state.values)) < 1e-12
                 assert np.max(np.abs(got_log_probs[i] - want_log_dist.values)) < 1e-12
+                assert np.max(np.abs(got_weights[i] - want_weights.values)) < 1e-12
+
+
+def stepwise_loss(triple, params, vocab):
+    """``sequence_loss`` built op by op: the encoder from ``gru_step`` and the
+    decoder from ``decode_step``, one tape node per elementary op."""
+    src = vocab.encode_source(triple.base, triple.tag)
+    embs = [nm.row(params["src_emb"], i) for i in src]
+    runs = []
+    for prefix, xs in (("enc_f", embs), ("enc_b", embs[::-1])):
+        state = nm.constant(np.zeros(params.config.hidden))
+        states = []
+        for x in xs:
+            state = gru_step(params, prefix, x, state)
+            states.append(state)
+        runs.append(states)
+    fwd, bwd = runs[0], runs[1][::-1]
+    hidden = nm.stack([nm.concat([f, b]) for f, b in zip(fwd, bwd)])
+    att_u_t = nm.Tensor(params["att_U"].values.T, parents=(params["att_U"],),
+                        backward=lambda g: (g.T,))
+    init = nm.tanh(nm.add(nm.matmul(params["init_W"], bwd[0]), params["init_b"]))
+    enc = EncodedSource(hidden, nm.matmul(hidden, att_u_t), init, len(src))
+    state, prev, loss = enc.init_state, vocab.bos_id, None
+    for y in vocab.encode_target(triple.derived):
+        state, log_dist, _ = decode_step(prev, state, enc, params)
+        term = nm.scale(nm.pick(log_dist, y), -1.0)
+        loss = term if loss is None else nm.add(loss, term)
+        prev = y
+    return loss
 
 
 class TestSequenceLoss:
+    def test_fused_nodes_match_stepwise_tape(self):
+        # the hand-written backward passes of the fused encoder and decoder
+        # nodes against the generic ops' backward passes, parameter by parameter
+        for seed in range(4):
+            params, vocab = TestArrayModel.random_model(seed)
+            for triple in (Triple("abcab", "U", "cabbac"), Triple("a", "T", "b")):
+                grads = []
+                for loss_fn in (sequence_loss, stepwise_loss):
+                    params.clear_grads()
+                    loss = loss_fn(triple, params, vocab)
+                    nm.backward(loss)
+                    grads.append((float(loss.values),
+                                  {n: t.grad.copy() for n, t in params.tensors.items()}))
+                (fused_loss, fused), (ref_loss, ref) = grads
+                assert fused_loss == pytest.approx(ref_loss, rel=1e-12)
+                for name, g in ref.items():
+                    assert np.any(g != 0.0), name
+                    assert np.max(np.abs(fused[name] - g)) <= 1e-10 * max(1.0, np.max(np.abs(g))), name
+            params.clear_grads()
+
     def test_uniform_distribution_analytic_value(self):
         params, vocab = micro_params()
         for t in params.tensors.values():
