@@ -4,7 +4,9 @@ Training pairs are aligned with a unit-cost Levenshtein backtrace into
 edit scripts (substitute / delete / insert, where substituting the current
 character by itself is a copy). An averaged perceptron then learns to pick
 the next action from contextual features, and decoding greedily applies
-argmax actions left to right.
+argmax actions left to right. Feature strings are interned to the rows of
+dense ``(features, actions)`` weight arrays, so scoring a state sums its
+feature rows and takes the argmax over the legal actions.
 
 A terminal STOP action is used internally so the decoder can decide, once
 the whole input is consumed, whether to keep inserting or finish.
@@ -13,7 +15,10 @@ the whole input is consumed, whether to keep inserting or finish.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 SUB, DEL, INS, STOP = "sub", "del", "ins", "stop"
 # COPY is the classifier's view of SUB(current char): it generalizes the
@@ -158,47 +163,47 @@ def _action_sort_key(action):
 
 @dataclass
 class PerceptronModel:
-    """Sparse multiclass averaged perceptron over (feature, action) weights."""
+    """Multiclass averaged perceptron over interned features.
+
+    Feature strings map to rows through ``feature_ids``; columns follow
+    ``action_set``, which is sorted by action kind, then character, so that
+    ties go to the first action in it. ``weights``, ``totals`` and
+    ``last_update`` are the ``(F, A)`` training state; ``avg_weights`` holds
+    the averaged weights once :meth:`finalize` has run.
+    """
 
     window: int = 3
     history_len: int = 2
-    weights: dict = field(default_factory=dict)
-    totals: dict = field(default_factory=dict)
-    last_update: dict = field(default_factory=dict)
-    update_count: int = 0
-    action_set: list = field(default_factory=list)
-    averaged: dict = None
     max_consecutive_ins: int = 5
+    action_set: list = field(default_factory=list)
+    feature_ids: dict = field(default_factory=dict)  # feature string -> row
+    weights: np.ndarray = None
+    totals: np.ndarray = None
+    last_update: np.ndarray = None
+    update_count: int = 0
+    avg_weights: np.ndarray = None
 
-    def _score(self, table, feats, action):
-        s = 0.0
-        for f in feats:
-            s += table.get((f, action), 0.0)
-        return s
+    def __post_init__(self):
+        kinds = [a[0] for a in self.action_set]
+        edit = np.array([k in (COPY, SUB, DEL) for k in kinds], dtype=bool)
+        ins = np.array([k == INS for k in kinds], dtype=bool)
+        stop = np.array([k == STOP for k in kinds], dtype=bool)
+        # _legal[input left?, insertion allowed?] -> mask over action_set
+        self._legal = np.array([[stop, stop | ins], [edit, edit | ins]])
 
-    def _predict(self, table, feats, candidates):
-        best, best_score = None, None
-        for a in sorted(candidates, key=_action_sort_key):
-            s = self._score(table, feats, a)
-            if best_score is None or s > best_score:
-                best, best_score = a, s
-        return best
-
-    def _bump(self, feats, action, delta):
-        tick = self.update_count
-        for f in feats:
-            key = (f, action)
-            w = self.weights.get(key, 0.0)
-            # lazy averaging: credit the old weight for the ticks it survived
-            self.totals[key] = self.totals.get(key, 0.0) + w * (tick - 1 - self.last_update.get(key, 0))
-            w += delta
-            self.weights[key] = w
-            self.totals[key] += w
-            self.last_update[key] = tick
+    def start_training(self, n_features):
+        """Zero the training state for ``n_features`` interned features."""
+        shape = (n_features, len(self.action_set))
+        self.weights = np.zeros(shape)
+        self.totals = np.zeros(shape)
+        self.last_update = np.zeros(shape, dtype=np.int64)
+        self.update_count = 0
 
     def observe(self, feats, gold, candidates):
         """One online step; returns True when the prediction was correct.
 
+        ``feats`` holds the state's feature rows, ``gold`` the gold action's
+        column and ``candidates`` the legal-action mask over ``action_set``.
         The averaged weights run over every decision step, mistaken or not,
         so with enough epochs the converged vector dominates the average.
         Updates fire whenever the gold action fails to beat its best rival
@@ -207,58 +212,57 @@ class PerceptronModel:
         features that co-fire with the gold action consistently.
         """
         self.update_count += 1
-        gold_score = self._score(self.weights, feats, gold)
-        rival = None
-        rival_score = None
-        for a in sorted(candidates, key=_action_sort_key):
-            if a == gold:
-                continue
-            s = self._score(self.weights, feats, a)
-            if rival_score is None or s > rival_score:
-                rival, rival_score = a, s
-        if rival is None or gold_score >= rival_score + 1.0:
+        scores = np.add.reduce(self.weights.take(feats, axis=0), axis=0)
+        rivals = np.where(candidates, scores, -np.inf)
+        rivals[gold] = -np.inf
+        rival = int(rivals.argmax())
+        if rivals[rival] == -np.inf or scores[gold] >= rivals[rival] + 1.0:
             return True
-        self._bump(feats, gold, +1.0)
-        self._bump(feats, rival, -1.0)
+        tick = self.update_count
+        cells = (feats[:, None], [gold, rival])  # every feature row, in both columns
+        w = self.weights[cells]
+        # lazy averaging: credit the old weights for the ticks they survived
+        self.totals[cells] += w * (tick - 1 - self.last_update[cells])
+        w += (1.0, -1.0)
+        self.weights[cells] = w
+        self.totals[cells] += w
+        self.last_update[cells] = tick
         return False
 
     def finalize(self):
         """Flush running totals and freeze the averaged weights."""
         tick = self.update_count
-        averaged = {}
-        for key, w in self.weights.items():
-            total = self.totals.get(key, 0.0) + w * (tick - self.last_update.get(key, 0))
-            self.totals[key] = total
-            self.last_update[key] = tick
-            if tick:
-                avg = total / tick
-                if avg != 0.0:
-                    averaged[key] = avg
-        self.averaged = averaged
+        self.totals += self.weights * (tick - self.last_update)
+        self.last_update[:] = tick
+        self.avg_weights = self.totals / tick if tick else np.zeros_like(self.totals)
         return self
 
+    @property
+    def averaged(self):
+        """Nonzero averaged weights keyed by (feature, action); None until finalized."""
+        if self.avg_weights is None:
+            return None
+        rows, cols = np.nonzero(self.avg_weights)
+        feats = list(self.feature_ids)
+        return {
+            (feats[r], self.action_set[c]): w
+            for r, c, w in zip(rows.tolist(), cols.tolist(), self.avg_weights[rows, cols].tolist())
+        }
+
     def candidates(self, position, source_len, consecutive_ins):
-        """Legal actions at a state: mid-word edits, end-of-word INS/STOP."""
-        out = []
-        ins_ok = consecutive_ins < self.max_consecutive_ins
-        for a in self.action_set:
-            kind = a[0]
-            if kind in (COPY, SUB, DEL):
-                if position < source_len:
-                    out.append(a)
-            elif kind == INS:
-                if ins_ok:
-                    out.append(a)
-            else:  # STOP only once the input is consumed
-                if position == source_len:
-                    out.append(a)
-        return out
+        """Legal actions at a state, as a boolean mask over ``action_set``.
+
+        COPY, SUB and DEL need input left, STOP needs it consumed, and INS
+        is legal below the cap on consecutive insertions. Takes one state's
+        scalars, or arrays over many states (one mask row each).
+        """
+        # "* 1" turns a bool, or an array of them, into an index
+        return self._legal[(position < source_len) * 1, (consecutive_ins < self.max_consecutive_ins) * 1]
 
 
 def _training_states(triple, window, history_len):
-    """(features, gold action, position-kind) stream for one triple."""
+    """(features, gold action, position, inserts) for each state of one triple."""
     script = align(triple.base, triple.derived)
-    states = []
     pos = 0
     history = []
     inserts = 0
@@ -266,8 +270,7 @@ def _training_states(triple, window, history_len):
         kind, ch = action
         if kind == SUB and ch == triple.base[pos]:
             action = (COPY, "")
-        feats = featurize(triple.base, triple.tag, pos, history, window, history_len, inserts)
-        states.append((feats, action, pos))
+        yield featurize(triple.base, triple.tag, pos, history, window, history_len, inserts), action, pos, inserts
         if kind == SUB:
             history.append(ch)
             pos += 1
@@ -278,62 +281,73 @@ def _training_states(triple, window, history_len):
         else:
             history.append(ch)
             inserts += 1
-    feats = featurize(triple.base, triple.tag, pos, history, window, history_len, inserts)
-    states.append((feats, (STOP, ""), pos))
-    return states
+    yield featurize(triple.base, triple.tag, pos, history, window, history_len, inserts), (STOP, ""), pos, inserts
 
 
 def train_perceptron(data, epochs=10, seed=0, window=3, history_len=2):
     """Averaged perceptron over gold edit actions from aligned triples.
 
-    Examples are reshuffled each epoch with a PRNG seeded from ``seed``;
-    the returned model is finalized (averaged weights frozen).
+    Feature strings and actions are interned once: the states become one
+    ``(states, features per state)`` matrix of feature rows and a vector of
+    gold columns. Examples are reshuffled each epoch with a PRNG seeded
+    from ``seed``; the returned model is finalized (averaged weights frozen).
     """
     if not data:
         raise ValueError("train_perceptron: empty training data")
     if epochs < 1:
         raise ValueError("train_perceptron: epochs must be >= 1")
-    model = PerceptronModel(window=window, history_len=history_len)
-    prepared = [_training_states(t, window, history_len) for t in data]
-    actions = set()
-    for states in prepared:
-        for _, a, _ in states:
-            actions.add(a)
-    model.action_set = sorted(actions, key=_action_sort_key)
+    feature_ids, action_ids = {}, {}
+    flat_ids, golds, positions, lengths, inserts = array("i"), [], [], [], []
+    starts = [0]
+    for t in data:
+        for feats, action, pos, ins in _training_states(t, window, history_len):
+            flat_ids.extend([feature_ids.setdefault(f, len(feature_ids)) for f in feats])
+            golds.append(action_ids.setdefault(action, len(action_ids)))
+            positions.append(pos)
+            lengths.append(len(t.base))
+            inserts.append(ins)
+        starts.append(len(golds))
+    model = PerceptronModel(window=window, history_len=history_len,
+                            action_set=sorted(action_ids, key=_action_sort_key),
+                            feature_ids=feature_ids)
+    column = np.empty(len(action_ids), dtype=np.intp)
+    for col, a in enumerate(model.action_set):
+        column[action_ids[a]] = col
+    ids = np.frombuffer(flat_ids, dtype=np.int32).reshape(len(golds), -1)
+    gold = column[golds]
+    # positional legality only: training offers INS past the insertion cap
+    legal = model.candidates(np.array(positions), np.array(lengths), 0)
+    legal[np.arange(len(gold)), gold] = True
+    gold = gold.tolist()
+    model.start_training(len(feature_ids))
     rng = random.Random(seed)
-    order = list(range(len(prepared)))
+    order = list(range(len(data)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            for feats, gold, pos in prepared[idx]:
-                # candidate set mirrors decoding: positional legality only
-                cands = [
-                    a for a in model.action_set
-                    if (a[0] in (COPY, SUB, DEL) and pos < len(data[idx].base))
-                    or a[0] == INS
-                    or (a[0] == STOP and pos == len(data[idx].base))
-                ]
-                if gold not in cands:
-                    cands.append(gold)
-                model.observe(feats, gold, cands)
+            for s in range(starts[idx], starts[idx + 1]):
+                model.observe(ids[s], gold[s], legal[s])
     return model.finalize()
 
 
 def decode_greedy(model, base, tag):
     """Apply argmax actions left to right until STOP or input exhausted."""
-    if model.averaged is None:
+    if model.avg_weights is None:
         raise ValueError("decode_greedy: model not finalized")
     out = []
     pos = 0
     consecutive_ins = 0
+    feature_ids = model.feature_ids
     while True:
-        cands = model.candidates(pos, len(base), consecutive_ins)
-        if not cands:
-            break
+        legal = model.candidates(pos, len(base), consecutive_ins)
         feats = featurize(base, tag, pos, out, model.window, model.history_len,
                           consecutive_ins)
-        action = model._predict(model.averaged, feats, cands)
-        kind, ch = action
+        rows = [feature_ids[f] for f in feats if f in feature_ids]
+        scores = np.add.reduce(model.avg_weights.take(rows, axis=0), axis=0)
+        best = int(np.where(legal, scores, -np.inf).argmax())
+        if not legal[best]:
+            break  # no legal action
+        kind, ch = model.action_set[best]
         if kind == STOP:
             break
         if kind == COPY:
@@ -429,22 +443,29 @@ def load_baseline(path):
         opts = dict(kv.split("=") for kv in header[2:])
         window = int(opts["window"])
         history_len = int(opts["history"])
-        models = {}
-
-        def get(tag):
-            if tag not in models:
-                models[tag] = PerceptronModel(window=window, history_len=history_len, averaged={})
-            return models[tag]
-
+        columns, entries = {}, {}  # per tag: action -> column; (feature, column, weight) rows
         for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split("\t")
             if parts[0] == "!":
-                get(parts[1]).action_set.append(_parse_action(parts[2]))
+                cols = columns.setdefault(parts[1], {})
+                cols.setdefault(_parse_action(parts[2]), len(cols))
+                entries.setdefault(parts[1], [])
             elif len(parts) == 4:
                 tag, feat, action, w = parts
-                get(tag).averaged[(feat, _parse_action(action))] = float(w)
+                col = columns.get(tag, {}).get(_parse_action(action))
+                if col is None:
+                    raise ValueError(f"{path}:{lineno}: action {action!r} is not in the action set of {tag!r}")
+                entries[tag].append((feat, col, float(w)))
             else:
                 raise ValueError(f"{path}:{lineno}: malformed model line")
+    models = {}
+    for tag, cols in columns.items():
+        feature_ids = {}
+        rows = [feature_ids.setdefault(feat, len(feature_ids)) for feat, _, _ in entries[tag]]
+        avg = np.zeros((len(feature_ids), len(cols)))
+        avg[rows, [col for _, col, _ in entries[tag]]] = [w for _, _, w in entries[tag]]
+        models[tag] = PerceptronModel(window=window, history_len=history_len, action_set=list(cols),
+                                      feature_ids=feature_ids, avg_weights=avg)
     return BaselineModel(
         models,
         per_tag=bool(int(opts["per_tag"])),

@@ -1,6 +1,11 @@
+import random
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from derivgen.baseline import (
+    COPY,
     DEL,
     INS,
     STOP,
@@ -13,10 +18,11 @@ from derivgen.baseline import (
     train_baseline,
     train_perceptron,
     PerceptronModel,
+    _training_states,
 )
 from derivgen.corpus import Triple, levenshtein
 
-from conftest import all_strings, levenshtein_oracle
+from conftest import all_strings, levenshtein_oracle, reference_decode, reference_train
 
 
 class TestAlign:
@@ -137,6 +143,60 @@ class TestPerceptron:
         assert len(out) < 50
 
 
+def random_corpus(seed, n=12, insert_run=0):
+    """Triples over "abcd" with substitutions, deletions, insertions and
+    tag-specific suffixes; ``insert_run`` more "x"s end every third one."""
+    rng = random.Random(seed)
+    suffix = {"P": "", "Q": "ly", "R": "ness"}
+    data = []
+    for i in range(n):
+        base = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
+        tag = rng.choice("PQR")
+        derived = ""
+        for c in base:
+            r = rng.random()
+            derived += c if r < 0.75 else ("" if r < 0.85 else rng.choice("abcd") + (c if r > 0.95 else ""))
+        derived += suffix[tag] + ("x" * insert_run if i % 3 == 0 else "")
+        derived = derived or base
+        data.append(Triple(base, tag, derived))
+    return data
+
+
+class TestPerceptronOracle:
+    """The interned-feature perceptron against the dict-based reference in
+    conftest: the same averaged weights, bit for bit, and the same outputs."""
+
+    @pytest.mark.parametrize("seed, insert_run", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 7), (5, 9)])
+    def test_same_weights_and_outputs_as_reference(self, seed, insert_run):
+        data = random_corpus(seed, insert_run=insert_run)
+        model = train_perceptron(data, epochs=3, seed=seed)
+        past_cap = [s for t in data for s in _training_states(t, 3, 2) if s[3] >= model.max_consecutive_ins]
+        assert bool(past_cap) == (insert_run > model.max_consecutive_ins)
+        ref = reference_train(data, epochs=3, seed=seed)
+        assert model.action_set == ref.action_set
+        assert model.update_count == ref.update_count
+        assert model.averaged == ref.averaged
+        rng = random.Random(seed)
+        queries = [(t.base, t.tag) for t in data]
+        queries += [("".join(rng.choice("abcde") for _ in range(rng.randint(1, 7))), rng.choice("PQRS"))
+                    for _ in range(30)]
+        for base, tag in queries:
+            assert decode_greedy(model, base, tag) == reference_decode(ref, base, tag)
+
+    def test_ties_go_to_the_first_action(self):
+        actions = [(COPY, ""), (SUB, "x"), (DEL, ""), (INS, "y"), (STOP, "")]
+        model = PerceptronModel(action_set=actions, avg_weights=np.zeros((0, len(actions))))
+        # all scores tie at 0: COPY wins mid-word, INS beats STOP until the cap
+        assert decode_greedy(model, "ab", "T") == "ab" + "y" * model.max_consecutive_ins
+        model.start_training(3)
+        feats = np.array([0, 2])
+        assert not model.observe(feats, 4, model.candidates(2, 2, 0))
+        # the rival was INS, the first legal action other than the gold STOP
+        assert model.weights[:, 3].tolist() == [-1.0, 0.0, -1.0]
+        assert model.weights[:, 4].tolist() == [1.0, 0.0, 1.0]
+        assert not model.weights[:, :3].any()
+
+
 class TestRoundTrip:
     def test_training_pairs_round_trip(self):
         data = [
@@ -178,4 +238,43 @@ class TestPersistence:
         path = tmp_path / "junk.tsv"
         path.write_text("not a model\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_baseline(path)
+
+
+# Written by the dict-based perceptron that preceded interned features:
+# train_baseline(V1_TRIPLES, epochs=10, seed=0), then save_baseline.
+V1_MODEL = Path(__file__).parent / "data" / "baseline_v1.model"
+V1_TRIPLES = [Triple("ameliorate", "RESULT", "amelioration"), Triple("take", "AGENT", "taker"),
+              Triple("run", "AGENT", "runner"), Triple("happy", "ADVERB", "happily")]
+V1_PREDICTIONS = {
+    ("ameliorate", "RESULT"): "amelioration", ("take", "AGENT"): "taker", ("run", "AGENT"): "runner",
+    ("happy", "ADVERB"): "happily", ("bake", "AGENT"): "baker", ("sing", "AGENT"): "singr",
+    ("quick", "ADVERB"): "quick", ("create", "RESULT"): "creation", ("happy", "NOPE"): "happy",
+}
+
+
+class TestModelFileV1:
+    def test_loads_predicts_and_resaves_byte_identical(self, tmp_path):
+        model = load_baseline(V1_MODEL)
+        assert {q: model.predict(*q) for q in V1_PREDICTIONS} == V1_PREDICTIONS
+        save_baseline(tmp_path / "again.model", model)
+        assert (tmp_path / "again.model").read_bytes() == V1_MODEL.read_bytes()
+
+    def test_retraining_writes_the_same_file(self, tmp_path):
+        save_baseline(tmp_path / "m.model", train_baseline(V1_TRIPLES, epochs=10, seed=0))
+        assert (tmp_path / "m.model").read_bytes() == V1_MODEL.read_bytes()
+
+    def test_weights_written_as_plain_floats(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_baseline(path, train_baseline(V1_TRIPLES, epochs=3, seed=1))
+        text = path.read_text(encoding="utf-8")
+        assert "np.float64(" not in text
+        weights = [line.split("\t")[3] for line in text.splitlines()[1:] if not line.startswith("!")]
+        assert weights and all(repr(float(w)) == w for w in weights)
+
+    def test_weight_for_an_unknown_action_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        text = V1_MODEL.read_text(encoding="utf-8")
+        path.write_text(text + "*\tt=RESULT\tins:Z\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"m\.model:806: action 'ins:Z'"):
             load_baseline(path)
