@@ -253,8 +253,9 @@ class PerceptronModel:
         """Legal actions at a state, as a boolean mask over ``action_set``.
 
         COPY, SUB and DEL need input left, STOP needs it consumed, and INS
-        is legal below the cap on consecutive insertions. Takes one state's
-        scalars, or arrays over many states (one mask row each).
+        is legal below the cap on consecutive insertions. The one legality
+        rule of training and decoding: takes one state's scalars, or arrays
+        over many states (one mask row each).
         """
         # "* 1" turns a bool, or an array of them, into an index
         return self._legal[(position < source_len) * 1, (consecutive_ins < self.max_consecutive_ins) * 1]
@@ -315,9 +316,8 @@ def train_perceptron(data, epochs=10, seed=0, window=3, history_len=2):
         column[action_ids[a]] = col
     ids = np.frombuffer(flat_ids, dtype=np.int32).reshape(len(golds), -1)
     gold = column[golds]
-    # positional legality only: training offers INS past the insertion cap
-    legal = model.candidates(np.array(positions), np.array(lengths), 0)
-    legal[np.arange(len(gold)), gold] = True
+    legal = model.candidates(np.array(positions), np.array(lengths), np.array(inserts))
+    legal[np.arange(len(gold)), gold] = True  # an alignment may insert past the cap
     gold = gold.tolist()
     model.start_training(len(feature_ids))
     rng = random.Random(seed)

@@ -128,15 +128,15 @@ class ReferencePerceptron:
                 self.averaged[key] = avg
         return self
 
-    def legal(self, position, source_len):
-        """COPY/SUB/DEL with input left, STOP with none, INS anywhere."""
+    def legal(self, position, source_len, consecutive_ins, cap=5):
+        """COPY/SUB/DEL with input left, STOP with none, INS below ``cap`` in a row."""
         out = []
         for a in self.action_set:
             kind = a[0]
             if kind in ("copy", "sub", "del"):
                 ok = position < source_len
             elif kind == "ins":
-                ok = True
+                ok = consecutive_ins < cap
             else:
                 ok = position == source_len
             if ok:
@@ -155,8 +155,8 @@ def reference_train(data, epochs, seed, window=3, history_len=2):
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            for feats, gold, pos, _ in prepared[idx]:
-                cands = ref.legal(pos, len(data[idx].base))
+            for feats, gold, pos, inserts in prepared[idx]:
+                cands = ref.legal(pos, len(data[idx].base), inserts)
                 if gold not in cands:
                     cands.append(gold)
                 ref.observe(feats, gold, cands)
@@ -164,12 +164,12 @@ def reference_train(data, epochs, seed, window=3, history_len=2):
 
 
 def reference_decode(ref, base, tag, window=3, history_len=2, cap=5):
-    """Greedy decoding with :class:`ReferencePerceptron` scores; INS stops at ``cap`` in a row."""
+    """Greedy decoding with :class:`ReferencePerceptron` scores."""
     from derivgen.baseline import featurize
 
     out, pos, inserts = [], 0, 0
     while True:
-        cands = [a for a in ref.legal(pos, len(base)) if a[0] != "ins" or inserts < cap]
+        cands = ref.legal(pos, len(base), inserts, cap)
         if not cands:
             break
         feats = featurize(base, tag, pos, out, window, history_len, inserts)
