@@ -51,8 +51,21 @@ def _parse_value(raw):
     return raw
 
 
+_INT, _NUMBER, _BOOL = ((int,), "an integer"), ((int, float), "a number"), ((bool,), "true or false")
+# every key a config file may set, with the types its value may take
+CONFIG_KEYS = {
+    "emb": _INT, "hidden": _INT, "batch": _INT, "epochs": _INT, "beam": _INT, "seed": _INT,
+    "window": _INT, "history": _INT, "rho": _NUMBER, "eps": _NUMBER, "clip": _NUMBER,
+    "per_tag": _BOOL,
+}
+
+
 def load_config_file(path):
-    """Flat ``key = value`` file; '#' starts a comment."""
+    """Flat ``key = value`` file; '#' starts a comment and ``none`` leaves a key unset.
+
+    An unknown key, or a value of the wrong type, is a data error naming the
+    file and line.
+    """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -61,8 +74,14 @@ def load_config_file(path):
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = _parse_value(raw)
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+            value = _parse_value(raw)
+            types, what = CONFIG_KEYS[key]
+            if value is not None and type(value) not in types:
+                raise DataError(f"{path}:{lineno}: {key} must be {what}, not {raw}")
+            values[key] = value
     return values
 
 
@@ -73,7 +92,7 @@ def _merged_options(args, keys):
     if config_path:
         file_values = load_config_file(config_path)
         for k in keys:
-            if k in file_values:
+            if file_values.get(k) is not None:
                 values[k] = file_values[k]
     for k in keys:
         v = getattr(args, k, None)
@@ -327,7 +346,7 @@ def main(argv=None):
     except ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # a file that cannot be read or written, or bad data
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -286,6 +286,61 @@ class TestConfigFile:
                     "--model", str(tmp_path / "m"), "--config", str(cfg)]) == 2
 
 
+    @pytest.mark.parametrize("text, where, names", [
+        ('emb = 16\nemb = "x"\n', ":2:", ("emb", "an integer")),
+        ("hidden = 8\nper_tag = 3\n", ":2:", ("per_tag", "true or false")),
+        ("rho = fast\n", ":1:", ("rho", "a number")),
+        ("emb = 16\nwindoww = 5\n", ":2:", ("unknown key", "windoww")),
+    ])
+    def test_bad_config_value_or_key_names_the_line(self, tmp_path, toy_dataset, capsys, text, where, names):
+        splits = tmp_path / "splits"
+        run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        for kind in ("seq2seq", "baseline"):
+            assert run(["train", "--kind", kind, "--splits", str(splits),
+                        "--model", str(tmp_path / "m"), "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert f"{cfg}{where}" in err
+            for name in names:
+                assert name in err
+
+    def test_none_leaves_a_key_unset(self, tmp_path, toy_dataset):
+        splits = tmp_path / "splits"
+        run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("emb = none\nhidden = 6\nepochs = 1\nbatch = 10\nclip = none\n", encoding="utf-8")
+        model = tmp_path / "m.ckpt"
+        assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
+                    "--model", str(model), "--config", str(cfg)]) == 0
+        assert "emb=300" in (tmp_path / "m.ckpt.log").read_text().splitlines()[0]
+
+
+class TestMissingFiles:
+    """A named input file that does not exist is a data error (exit 2) naming it."""
+
+    def test_predict_input(self, tmp_path, capsys):
+        missing = tmp_path / "queries.tsv"
+        assert run(["predict", "--model", str(tmp_path / "m"), "--input", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_evaluate_pred_and_gold(self, tmp_path, capsys):
+        pred, gold = tmp_path / "pred.tsv", tmp_path / "gold.tsv"
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 2
+        assert str(pred) in capsys.readouterr().err
+        pred.write_text("ab\tT\t1\tabx\t0.0\n", encoding="utf-8")
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 2
+        assert str(gold) in capsys.readouterr().err
+
+    def test_config_file(self, tmp_path, toy_dataset, capsys):
+        splits = tmp_path / "splits"
+        run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
+        missing = tmp_path / "run.cfg"
+        assert run(["train", "--kind", "baseline", "--splits", str(splits),
+                    "--model", str(tmp_path / "m"), "--config", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]) == 1
