@@ -14,34 +14,32 @@ rng = np.random.default_rng(0)
 X = np.vstack([rng.normal(loc=-1.5, size=(40, 2)), rng.normal(loc=1.5, size=(40, 2))])
 y = np.array([0.0] * 40 + [1.0] * 40)
 
-w = nm.parameter(np.zeros(2))
+w = nm.parameter(np.zeros((2, 1)))
 b = nm.parameter(np.zeros(1))
 params = {"w": w, "b": b}
 
+inputs = nm.constant(X)
+zeros = nm.constant(np.zeros((len(y), 1)))
+labels = (np.arange(len(y)), y.astype(int))
+
 
 def loss_fn():
-    total = nm.constant(0.0)
-    for xi, yi in zip(X, y):
-        z = nm.add(nm.sum_all(nm.mul(w, nm.constant(xi))), nm.pick(b, 0))
-        p = nm.sigmoid(z)
-        # cross-entropy via the stable log-softmax of [0, z]
-        if yi == 1.0:
-            nll = nm.scale(nm.pick(nm.log_softmax(nm.concat([nm.constant(np.zeros(1)), nm.stack([z])])), 1), -1.0)
-        else:
-            nll = nm.scale(nm.pick(nm.log_softmax(nm.concat([nm.constant(np.zeros(1)), nm.stack([z])])), 0), -1.0)
-        total = nm.add(total, nll)
-    return nm.scale(total, 1.0 / len(y))
+    # One logit per example; the cross-entropy is the stable log-softmax of
+    # [0, z], picked at each example's label.
+    z = nm.add(nm.matmul(inputs, w), b)
+    log_probs = nm.log_softmax(nm.concat([zeros, z], axis=1))
+    return nm.scale(nm.sum_all(nm.pick(log_probs, labels)), -1.0 / len(y))
 
 
 # One gradient entry vs central finite differences.
 nm.backward(loss_fn())
-analytic = w.grad[0]
+analytic = w.grad[0, 0]
 h = 1e-6
-w.values[0] += h
+w.values[0, 0] += h
 up = float(loss_fn().values)
-w.values[0] -= 2 * h
+w.values[0, 0] -= 2 * h
 down = float(loss_fn().values)
-w.values[0] += h
+w.values[0, 0] += h
 print(f"dL/dw0: analytic {analytic:.8f}  numeric {(up - down) / (2 * h):.8f}")
 for p in params.values():
     p.clear_grad()
@@ -54,6 +52,6 @@ for step in range(200):
     if step % 50 == 0:
         print(f"step {step:3d}  loss {float(loss.values):.4f}")
 
-z = X @ w.values + b.values[0]
+z = X @ w.values[:, 0] + b.values[0]
 acc = np.mean((z > 0) == (y == 1.0))
 print(f"final training accuracy: {acc:.3f}")

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import suffix_distances
+
 SUB, DEL, INS, STOP = "sub", "del", "ins", "stop"
 # COPY is the classifier's view of SUB(current char): it generalizes the
 # "keep this character" decision across contexts.
@@ -89,17 +91,7 @@ def align(base, derived):
     if not base:
         raise ValueError("align: base must be non-empty")
     n, m = len(base), len(derived)
-    # dp[i][j] = edit distance between base[i:] and derived[j:]
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dp[i][m] = n - i
-    for j in range(m + 1):
-        dp[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        row, nxt = dp[i], dp[i + 1]
-        bc = base[i]
-        for j in range(m - 1, -1, -1):
-            row[j] = min(nxt[j + 1] + (bc != derived[j]), nxt[j] + 1, row[j + 1] + 1)
+    dp = suffix_distances(base, derived)
     actions = []
     i, j = 0, 0
     while i < n or j < m:

@@ -102,12 +102,7 @@ def _merged_options(args, keys):
 
 
 def cmd_split(args):
-    try:
-        raw = corpus.read_triples(args.data)
-    except OSError as e:
-        raise DataError(str(e)) from None
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    raw = corpus.read_triples(args.data)
     if not raw:
         raise DataError(f"{args.data}: no triples")
     kept = corpus.filter_triples(raw)

@@ -31,17 +31,30 @@ class Triple:
             raise ValueError("Triple: tag must be non-empty")
 
 
+def suffix_distances(a, b):
+    """The edit-distance table over suffixes: ``table[i][j]`` is the minimal
+    number of single-character edits turning ``a[i:]`` into ``b[j:]``."""
+    n, m = len(a), len(b)
+    table = [[0] * m + [n - i] for i in range(n)]
+    table.append(list(range(m, -1, -1)))
+    for i in range(n - 1, -1, -1):
+        row, nxt = table[i], table[i + 1]
+        ca = a[i]
+        left, diag = n - i, nxt[m]
+        for j in range(m - 1, -1, -1):
+            # row[j] = min(nxt[j + 1] + (ca != b[j]), nxt[j] + 1, row[j + 1] + 1),
+            # compared inline: a call to min costs more
+            up = nxt[j]
+            diag += ca != b[j]
+            left = (up if up < left else left) + 1
+            row[j] = left = diag if diag < left else left
+            diag = up
+    return table
+
+
 def levenshtein(a, b):
     """Minimal number of single-character edits turning ``a`` into ``b``."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    return suffix_distances(a, b)[0][0]
 
 
 def filter_triples(raw):
@@ -189,10 +202,6 @@ def build_vocab(train):
         chars.update(t.derived)
         tags.add(t.tag)
     return Vocab(chars, tags)
-
-
-def encode_source(triple, vocab):
-    return vocab.encode_source(triple.base, triple.tag)
 
 
 def read_triples(path):

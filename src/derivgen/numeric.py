@@ -52,19 +52,6 @@ def constant(values):
     return Tensor(values)
 
 
-def _check_same_shape(op, a, b):
-    if a.values.shape != b.values.shape and not _broadcastable(a.values.shape, b.values.shape):
-        raise ValueError(f"{op}: incompatible shapes {a.values.shape} and {b.values.shape}")
-
-
-def _broadcastable(sa, sb):
-    try:
-        np.broadcast_shapes(sa, sb)
-        return True
-    except ValueError:
-        return False
-
-
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -76,32 +63,14 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    _check_same_shape("add", a, b)
+    try:
+        out = a.values + b.values
+    except ValueError:
+        raise ValueError(f"add: incompatible shapes {a.values.shape} and {b.values.shape}") from None
     return Tensor(
-        a.values + b.values,
+        out,
         parents=(a, b),
         backward=lambda g: (_unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)),
-    )
-
-
-def sub(a, b):
-    _check_same_shape("sub", a, b)
-    return Tensor(
-        a.values - b.values,
-        parents=(a, b),
-        backward=lambda g: (_unbroadcast(g, a.values.shape), -_unbroadcast(g, b.values.shape)),
-    )
-
-
-def mul(a, b):
-    _check_same_shape("mul", a, b)
-    return Tensor(
-        a.values * b.values,
-        parents=(a, b),
-        backward=lambda g: (
-            _unbroadcast(g * b.values, a.values.shape),
-            _unbroadcast(g * a.values, b.values.shape),
-        ),
     )
 
 
@@ -152,11 +121,6 @@ def log_softmax_array(x):
     return shifted - logz
 
 
-def sigmoid(a):
-    out = sigmoid_array(a.values)
-    return Tensor(out, parents=(a,), backward=lambda g: (g * out * (1.0 - out),))
-
-
 def softmax(a):
     out = softmax_array(a.values)
 
@@ -193,31 +157,6 @@ def concat(tensors, axis=0):
     return Tensor(out, parents=tuple(tensors), backward=bw)
 
 
-def stack(tensors):
-    """Stack equal-length 1-D tensors into a matrix (rows)."""
-    out = np.stack([t.values for t in tensors])
-
-    def bw(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return Tensor(out, parents=tuple(tensors), backward=bw)
-
-
-def row(table, index):
-    """Embedding lookup: one row of a 2-D parameter table as a 1-D tensor."""
-    index = int(index)
-    n = table.values.shape[0]
-    if not 0 <= index < n:
-        raise ValueError(f"row: index {index} out of range for table with {n} rows")
-
-    def bw(g):
-        gt = np.zeros_like(table.values)
-        gt[index] = g
-        return (gt,)
-
-    return Tensor(table.values[index], parents=(table,), backward=bw)
-
-
 def gather(table, ids):
     """Embedding lookup of a sequence: rows ``ids`` of a 2-D table, repeats
     allowed, as a (len(ids), columns) tensor."""
@@ -235,7 +174,8 @@ def gather(table, ids):
 
 
 def pick(a, index):
-    """``a.values[index]``: an element or a row for an int index, or distinct
+    """``a.values[index]``: an element or a row for an int index, a block for
+    a tuple of ints and slices such as ``(0, slice(n))``, or distinct
     elements for a tuple of index arrays."""
     if not isinstance(index, tuple):
         index = int(index)
@@ -265,19 +205,19 @@ def backward(loss):
 
     order = []
     seen = set()
-    stack_ = [(loss, False)]
-    while stack_:
-        node, expanded = stack_.pop()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
         if id(node) in seen:
             continue
         seen.add(id(node))
-        stack_.append((node, True))
+        stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
-                stack_.append((p, False))
+                stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):

@@ -152,21 +152,6 @@ def _attention(states, annot_proj, hidden, att_w, att_v):
     return weights @ hidden, weights, u
 
 
-def gru_step(params, prefix, x, h):
-    """Standard GRU cell: h' = (1 - z) * h + z * h_tilde."""
-    z = nm.sigmoid(nm.add(nm.add(nm.matmul(params[f"{prefix}_Wz"], x),
-                                 nm.matmul(params[f"{prefix}_Uz"], h)),
-                          params[f"{prefix}_bz"]))
-    r = nm.sigmoid(nm.add(nm.add(nm.matmul(params[f"{prefix}_Wr"], x),
-                                 nm.matmul(params[f"{prefix}_Ur"], h)),
-                          params[f"{prefix}_br"]))
-    h_tilde = nm.tanh(nm.add(nm.add(nm.matmul(params[f"{prefix}_Wh"], x),
-                                    nm.matmul(params[f"{prefix}_Uh"], nm.mul(r, h))),
-                             params[f"{prefix}_bh"]))
-    one = nm.constant(np.ones_like(z.values))
-    return nm.add(nm.mul(nm.sub(one, z), h), nm.mul(z, h_tilde))
-
-
 def _gru_run(gx, u_zr, u_h, reverse=False):
     """A GRU run on arrays from a zero state over the input projections
     ``gx``, last row first if ``reverse``: the states, the states each step
@@ -210,7 +195,6 @@ class EncodedSource:
     hidden: object          # (n, 2*hidden): concatenated [fwd; bwd] states
     annot_proj: object      # (n, hidden): attention key projection U @ h_i
     init_state: object      # (hidden,): decoder start state
-    source_length: int
 
 
 def _check_source(source_ids, vocab_size):
@@ -235,7 +219,7 @@ def encode(source_ids, params):
     hidden = nm.concat([fwd, bwd], axis=1)
     annot_proj = nm.matmul(hidden, _transpose(params["att_U"]))
     init_state = nm.tanh(nm.add(nm.matmul(params["init_W"], nm.pick(bwd, 0)), params["init_b"]))
-    return EncodedSource(hidden, annot_proj, init_state, len(source_ids))
+    return EncodedSource(hidden, annot_proj, init_state)
 
 
 def _transpose(t):
@@ -260,25 +244,28 @@ def _output_layer(params, features):
 def decode_step(prev_token, state, enc, params, rows=None):
     """One decoder step: attention, GRU update, log-distribution over outputs.
 
-    It builds the tape op by op, and ``sequence_loss`` must agree with a
-    chain of these steps. With an ``ArrayModel`` for ``params`` it is the
-    batched step on plain arrays instead: ``prev_token`` holds B token ids,
-    ``state`` the states a step returned and ``rows`` the B rows of them to
-    advance (all by default).
+    On the tape it is a one-step ``_decoder_run`` and the output layer, so it
+    computes what ``sequence_loss`` does for one step; the attention weights
+    it returns are a constant that carries no gradient. With an
+    ``ArrayModel`` for ``params`` it is the batched step on plain arrays
+    instead: ``prev_token`` holds B token ids, ``state`` the states a step
+    returned and ``rows`` the B rows of them to advance (all by default).
     """
     if isinstance(params, ArrayModel):
         return params.step(prev_token, state if rows is None else state[rows], enc)
-    emb = nm.row(params["tgt_emb"], prev_token)
-    context, weights = attend(state, enc, params)
-    next_state = gru_step(params, "dec", nm.concat([emb, context]), state)
-    return next_state, _output_layer(params, nm.concat([emb, next_state, context])), weights
+    emb = nm.gather(params["tgt_emb"], [prev_token])
+    out, weights = _decoder_run(params, enc, emb, state)
+    log_probs = _output_layer(params, nm.concat([emb, out], axis=1))
+    next_state = nm.pick(out, (0, slice(params.config.hidden)))
+    return next_state, nm.pick(log_probs, 0), nm.constant(weights[0])
 
 
-def _decoder_run(params, enc, emb):
-    """T teacher-forced decoder steps from ``enc.init_state`` as one tape node,
-    where ``emb`` (T, emb) embeds each step's previous token: the (T, 3H)
-    rows [state; context] of the steps. Its backward pass runs back through
-    time, attention included, by hand."""
+def _decoder_run(params, enc, emb, start):
+    """T teacher-forced decoder steps from the state ``start`` as one tape
+    node, where ``emb`` (T, emb) embeds each step's previous token: the node
+    of the (T, 3H) rows [state; context] of the steps, and the (T, n)
+    attention weights. Its backward pass runs back through time, attention
+    included, by hand."""
     gates = [params[name] for name in _gru_names("dec")]
     att_w, att_v = params["att_W"], params["att_v"]
     w, b, u_zr, u_h = _stack_gru([t.values for t in gates])
@@ -289,7 +276,7 @@ def _decoder_run(params, enc, emb):
     prev, x = np.empty((steps, hid)), np.empty((steps, n_emb + 2 * hid))
     out = np.empty((steps, 3 * hid))
     weights, attn, acts = np.empty((steps, len(hidden))), [None] * steps, [None] * steps
-    s = enc.init_state.values
+    s = start.values
     for t in range(steps):
         prev[t] = s
         context, weights[t], attn[t] = _attention(s, annot_proj, hidden, aw, av)
@@ -318,8 +305,9 @@ def _decoder_run(params, enc, emb):
         return (dx[:, :n_emb], weights.T @ dx[:, n_emb:], d_proj, ds, da.T @ prev, d_v,
                 *_gru_param_grads(dgx, x, prev, rh))
 
-    return nm.Tensor(out, backward=bw, parents=(emb, enc.hidden, enc.annot_proj, enc.init_state,
-                                                att_w, att_v, *gates))
+    node = nm.Tensor(out, backward=bw, parents=(emb, enc.hidden, enc.annot_proj, start,
+                                                 att_w, att_v, *gates))
+    return node, weights
 
 
 def sequence_loss(triple, params, vocab):
@@ -332,7 +320,7 @@ def sequence_loss(triple, params, vocab):
     target_ids = vocab.encode_target(triple.derived)
     enc = encode(source_ids, params)
     emb = nm.gather(params["tgt_emb"], [vocab.bos_id] + target_ids[:-1])
-    states = _decoder_run(params, enc, emb)
+    states, _ = _decoder_run(params, enc, emb, enc.init_state)
     log_probs = _output_layer(params, nm.concat([emb, states], axis=1))
     picked = nm.pick(log_probs, (np.arange(len(target_ids)), np.array(target_ids)))
     return nm.scale(nm.sum_all(picked), -1.0)
@@ -368,7 +356,7 @@ class ArrayModel:
         bwd = self._run(self.enc_b, x, reverse=True)
         hidden = np.concatenate([fwd, bwd], axis=1)
         init_state = np.tanh(v["init_W"] @ bwd[0] + v["init_b"])
-        return EncodedSource(hidden, hidden @ v["att_U"].T, init_state, len(source_ids))
+        return EncodedSource(hidden, hidden @ v["att_U"].T, init_state)
 
     def step(self, prev_tokens, states, enc):
         """``decode_step`` for B hypotheses at once: token ids (B,) and decoder

@@ -5,6 +5,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from derivgen import numeric as nm
+from derivgen.seq2seq import EncodedSource, attend
+
 
 def levenshtein_oracle(a, b):
     """Naive top-down recursion (memoized), independent of the DP version."""
@@ -43,8 +46,6 @@ def max_grad_rel_error(build_loss, params, step=1e-5, floor=1e-5, stride=1):
     """
     for p in params.values():
         p.clear_grad()
-    from derivgen import numeric as nm
-
     nm.backward(build_loss())
     worst = 0.0
     for p in params.values():
@@ -186,6 +187,91 @@ def reference_decode(ref, base, tag, window=3, history_len=2, cap=5):
             pos += 1
             inserts = 0
     return "".join(out)
+
+
+# --- The op-by-op seq2seq reference -----------------------------------------
+# The encoder and the decoder step built one elementary op per tape node,
+# from tensor ops that the program itself no longer needs. The program's
+# fused tape nodes and its tape-free ``ArrayModel`` are checked against it.
+
+
+def sub(a, b):
+    """Elementwise ``a - b`` of equal-shape tensors."""
+    return nm.Tensor(a.values - b.values, parents=(a, b), backward=lambda g: (g, -g))
+
+
+def mul(a, b):
+    """Elementwise ``a * b`` of equal-shape tensors."""
+    return nm.Tensor(a.values * b.values, parents=(a, b),
+                     backward=lambda g: (g * b.values, g * a.values))
+
+
+def sigmoid(a):
+    out = nm.sigmoid_array(a.values)
+    return nm.Tensor(out, parents=(a,), backward=lambda g: (g * out * (1.0 - out),))
+
+
+def stack(tensors):
+    """Equal-length 1-D tensors as the rows of a matrix."""
+    return nm.Tensor(np.stack([t.values for t in tensors]), parents=tuple(tensors),
+                     backward=lambda g: tuple(g))
+
+
+def row(table, index):
+    """One row of a 2-D table as a 1-D tensor."""
+    n = table.values.shape[0]
+    if not 0 <= index < n:
+        raise ValueError(f"row: index {index} out of range for table with {n} rows")
+
+    def bw(g):
+        gt = np.zeros_like(table.values)
+        gt[index] = g
+        return (gt,)
+
+    return nm.Tensor(table.values[index], parents=(table,), backward=bw)
+
+
+def gru_step(params, prefix, x, h):
+    """Standard GRU cell: h' = (1 - z) * h + z * h_tilde."""
+    def gate(name, state):
+        return nm.add(nm.add(nm.matmul(params[f"{prefix}_W{name}"], x),
+                             nm.matmul(params[f"{prefix}_U{name}"], state)),
+                      params[f"{prefix}_b{name}"])
+
+    z, r = sigmoid(gate("z", h)), sigmoid(gate("r", h))
+    h_tilde = nm.tanh(gate("h", mul(r, h)))
+    one = nm.constant(np.ones_like(z.values))
+    return nm.add(mul(sub(one, z), h), mul(z, h_tilde))
+
+
+def reference_encode(source_ids, params):
+    """``seq2seq.encode`` with one ``gru_step`` per source position and
+    direction."""
+    embs = [row(params["src_emb"], i) for i in source_ids]
+    runs = []
+    for prefix, xs in (("enc_f", embs), ("enc_b", embs[::-1])):
+        state, states = nm.constant(np.zeros(params.config.hidden)), []
+        for x in xs:
+            state = gru_step(params, prefix, x, state)
+            states.append(state)
+        runs.append(states)
+    fwd, bwd = runs[0], runs[1][::-1]
+    rows = [nm.concat([f, b]) for f, b in zip(fwd, bwd)]
+    annot_proj = stack([nm.matmul(params["att_U"], r) for r in rows])
+    init = nm.tanh(nm.add(nm.matmul(params["init_W"], bwd[0]), params["init_b"]))
+    return EncodedSource(stack(rows), annot_proj, init)
+
+
+def reference_decode_step(prev_token, state, enc, params):
+    """``seq2seq.decode_step`` on the tape, built op by op: the next state,
+    the log-distribution over outputs and the attention weights."""
+    emb = row(params["tgt_emb"], prev_token)
+    context, weights = attend(state, enc, params)
+    next_state = gru_step(params, "dec", nm.concat([emb, context]), state)
+    features = nm.concat([emb, next_state, context])
+    mlp = nm.tanh(nm.add(nm.matmul(params["out_W1"], features), params["out_b1"]))
+    log_dist = nm.log_softmax(nm.add(nm.matmul(params["out_W2"], mlp), params["out_b2"]))
+    return next_state, log_dist, weights
 
 
 # Acceptance-criterion verdicts, printed in the terminal summary so they

@@ -4,7 +4,6 @@ from derivgen.corpus import (
     Triple,
     Vocab,
     build_vocab,
-    encode_source,
     filter_triples,
     levenshtein,
     read_split,
@@ -133,7 +132,7 @@ class TestVocab:
     def test_encode_source_layout(self):
         v = build_vocab([Triple("ameliorate", "RESULT", "amelioration")])
         t = Triple("ameliorate", "RESULT", "amelioration")
-        ids = encode_source(t, v)
+        ids = v.encode_source(t.base, t.tag)
         assert len(ids) == len("ameliorate") + 2
         assert ids[:-2] == [v.char_to_id[c] for c in "ameliorate"]
         assert ids[-2] == v.tag_to_id["RESULT"]

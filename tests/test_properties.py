@@ -64,9 +64,10 @@ class TestAttentionSimplex:
     )
     def test_weights_on_simplex(self, which, base):
         params = _MODELS[which]
-        enc = encode(_VOCAB.encode_source(base, "T"), params)
+        src = _VOCAB.encode_source(base, "T")
+        enc = encode(src, params)
         context, weights = attend(enc.init_state, enc, params)
-        assert weights.values.shape == (enc.source_length,)
+        assert weights.values.shape == (len(src),)
         assert np.all(weights.values >= 0)
         assert abs(weights.values.sum() - 1.0) < 1e-9
         lo = enc.hidden.values.min(axis=0)

@@ -15,7 +15,6 @@ from derivgen.seq2seq import (
     decode_step,
     encode,
     greedy_decode,
-    gru_step,
     load_model,
     predict_kbest,
     save_model,
@@ -23,7 +22,7 @@ from derivgen.seq2seq import (
     train,
 )
 
-from conftest import max_grad_rel_error
+from conftest import max_grad_rel_error, reference_decode_step, reference_encode
 
 
 def micro_vocab():
@@ -41,7 +40,8 @@ class TestEncode:
         params, vocab = micro_params()
         enc = encode(vocab.encode_source("ab", "T"), params)
         assert enc.hidden.values.shape == (4, 6)  # 4 tokens, 2 * hidden
-        assert enc.source_length == 4
+        assert enc.annot_proj.values.shape == (4, 3)
+        assert enc.init_state.values.shape == (3,)
 
     def test_length_one_input(self):
         params, vocab = micro_params(emb=300, hidden=100)
@@ -96,7 +96,7 @@ class TestAttend:
         h = one.hidden.values[0]
         hidden = nm.constant(np.stack([h, h, h]))
         annot = nm.matmul(hidden, nm.constant(params["att_U"].values.T))
-        enc = EncodedSource(hidden, annot, one.init_state, 3)
+        enc = EncodedSource(hidden, annot, one.init_state)
         _, weights = attend(enc.init_state, enc, params)
         assert np.allclose(weights.values, 1.0 / 3.0)
 
@@ -138,23 +138,54 @@ class TestDecodeStep:
         assert np.array_equal(a, b)
 
     def test_loss_equals_forced_chain(self):
-        # sequence_loss must equal the negated per-step log-prob sum
+        # sequence_loss must equal the negated per-step log-prob sum of the
+        # op-by-op reference chain
         params, vocab = micro_params(seed=7)
         t = Triple("ab", "T", "ba")
         loss = float(sequence_loss(t, params, vocab).values)
-        enc = encode(vocab.encode_source(t.base, t.tag), params)
+        enc = reference_encode(vocab.encode_source(t.base, t.tag), params)
         state = enc.init_state
         prev = vocab.bos_id
         total = 0.0
         for y in vocab.encode_target(t.derived):
-            state, log_dist, _ = decode_step(prev, state, enc, params)
+            state, log_dist, _ = reference_decode_step(prev, state, enc, params)
             total -= float(log_dist.values[y])
             prev = y
         assert loss == pytest.approx(total, abs=1e-9)
 
+    def test_chain_matches_reference_chain(self):
+        # a chain of tape steps against the op-by-op reference chain: the
+        # states, log-distributions and attention weights of every step, and
+        # the gradients of the chained loss
+        for seed in range(3):
+            params, vocab = TestArrayModel.random_model(seed)
+            src = vocab.encode_source("abca", "U")
+            grads = []
+            for enc_fn, step_fn in ((encode, decode_step), (reference_encode, reference_decode_step)):
+                params.clear_grads()
+                enc = enc_fn(src, params)
+                state, prev, loss, steps = enc.init_state, vocab.bos_id, None, []
+                for y in vocab.encode_target("cab"):
+                    state, log_dist, weights = step_fn(prev, state, enc, params)
+                    steps.append((state.values, log_dist.values, weights.values))
+                    term = nm.pick(log_dist, y)
+                    loss = term if loss is None else nm.add(loss, term)
+                    prev = y
+                nm.backward(loss)
+                grads.append((steps, {n: t.grad.copy() for n, t in params.tensors.items()}))
+            (got_steps, got), (want_steps, want) = grads
+            for got_step, want_step in zip(got_steps, want_steps):
+                for g, w in zip(got_step, want_step):
+                    assert g.shape == w.shape
+                    assert np.max(np.abs(g - w)) < 1e-12
+            for name, g in want.items():
+                assert np.any(g != 0.0), name
+                assert np.max(np.abs(got[name] - g)) <= 1e-10 * max(1.0, np.max(np.abs(g))), name
+            params.clear_grads()
+
 
 class TestArrayModel:
-    """The tape-free inference path against the tape-built reference."""
+    """The tape-free inference path against the op-by-op reference."""
 
     @staticmethod
     def random_model(seed):
@@ -167,28 +198,30 @@ class TestArrayModel:
         return params, vocab
 
     def test_encode_matches_tape_encode(self):
+        # both the tape encoder and the array one against the reference
         for seed in range(5):
             params, vocab = self.random_model(seed)
             for base, tag in (("a", "T"), ("abcab", "U"), ("cc", "T")):
                 src = vocab.encode_source(base, tag)
-                ref = encode(src, params)
+                ref = reference_encode(src, params)
+                tape = encode(src, params)
                 got = ArrayModel(params).encode(src)
-                assert got.source_length == ref.source_length
                 for field in ("hidden", "annot_proj", "init_state"):
                     want = getattr(ref, field).values
-                    assert getattr(got, field).shape == want.shape
-                    assert np.max(np.abs(getattr(got, field) - want)) < 1e-12
+                    for value in (getattr(got, field), getattr(tape, field).values):
+                        assert value.shape == want.shape
+                        assert np.max(np.abs(value - want)) < 1e-12
 
     def test_batched_step_matches_decode_step_row_by_row(self):
         for seed in range(5):
             params, vocab = self.random_model(seed)
             src = vocab.encode_source("abca", "T")
-            enc = encode(src, params)
-            # distinct states: the start state and the states after tape steps
-            # on different tokens
+            enc = reference_encode(src, params)
+            # distinct states: the start state and the states after reference
+            # steps on different tokens
             states = [enc.init_state]
             for tok in (vocab.bos_id, vocab.char_id("a"), vocab.char_id("c")):
-                states.append(decode_step(tok, states[-1], enc, params)[0])
+                states.append(reference_decode_step(tok, states[-1], enc, params)[0])
             prev = [vocab.bos_id, vocab.char_id("b"), vocab.char_id("c"), vocab.eos_id]
             model = ArrayModel(params)
             got_states, got_log_probs, got_weights = model.step(
@@ -196,34 +229,18 @@ class TestArrayModel:
             assert got_states.shape == (4, 4) and got_log_probs.shape == (4, len(vocab))
             assert got_weights.shape == (4, len(src))
             for i, (tok, state) in enumerate(zip(prev, states)):
-                want_state, want_log_dist, want_weights = decode_step(tok, state, enc, params)
-                assert np.max(np.abs(got_states[i] - want_state.values)) < 1e-12
-                assert np.max(np.abs(got_log_probs[i] - want_log_dist.values)) < 1e-12
-                assert np.max(np.abs(got_weights[i] - want_weights.values)) < 1e-12
+                want = reference_decode_step(tok, state, enc, params)
+                for got, ref in zip((got_states, got_log_probs, got_weights), want):
+                    assert np.max(np.abs(got[i] - ref.values)) < 1e-12
 
 
 def stepwise_loss(triple, params, vocab):
-    """``sequence_loss`` built op by op: the encoder from ``gru_step`` and the
-    decoder from ``decode_step``, one tape node per elementary op."""
-    src = vocab.encode_source(triple.base, triple.tag)
-    embs = [nm.row(params["src_emb"], i) for i in src]
-    runs = []
-    for prefix, xs in (("enc_f", embs), ("enc_b", embs[::-1])):
-        state = nm.constant(np.zeros(params.config.hidden))
-        states = []
-        for x in xs:
-            state = gru_step(params, prefix, x, state)
-            states.append(state)
-        runs.append(states)
-    fwd, bwd = runs[0], runs[1][::-1]
-    hidden = nm.stack([nm.concat([f, b]) for f, b in zip(fwd, bwd)])
-    att_u_t = nm.Tensor(params["att_U"].values.T, parents=(params["att_U"],),
-                        backward=lambda g: (g.T,))
-    init = nm.tanh(nm.add(nm.matmul(params["init_W"], bwd[0]), params["init_b"]))
-    enc = EncodedSource(hidden, nm.matmul(hidden, att_u_t), init, len(src))
+    """``sequence_loss`` built op by op from the reference encoder and decoder
+    step, one tape node per elementary op."""
+    enc = reference_encode(vocab.encode_source(triple.base, triple.tag), params)
     state, prev, loss = enc.init_state, vocab.bos_id, None
     for y in vocab.encode_target(triple.derived):
-        state, log_dist, _ = decode_step(prev, state, enc, params)
+        state, log_dist, _ = reference_decode_step(prev, state, enc, params)
         term = nm.scale(nm.pick(log_dist, y), -1.0)
         loss = term if loss is None else nm.add(loss, term)
         prev = y
@@ -331,6 +348,23 @@ class TestBeamSearch:
             else:
                 assert len(h.tokens) == 2 and vocab.eos_id not in h.tokens
 
+    def test_inference_builds_no_tape(self, monkeypatch):
+        params, vocab = micro_params(seed=18)
+        built = []
+        init = nm.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+        nm.constant(0.0)
+        assert len(built) == 1  # the count sees every tensor built
+        built.clear()
+        predict_kbest(params, vocab, "ab", "T", beam=4, k=3)
+        greedy_decode(vocab.encode_source("ba", "T"), params, vocab)
+        assert len(built) == 0
+
     def test_hypothesis_log_prob_is_chain_sum(self):
         params, vocab = micro_params(seed=16)
         src = vocab.encode_source("ab", "T")
@@ -362,14 +396,15 @@ class TestKBestOracle:
     @staticmethod
     def enumerate_scored(src, params, vocab, max_len):
         """(log_prob, tokens) of every complete output: EOS-terminated, or
-        cut at ``max_len``; prefixes are scored once with the tape step."""
-        enc = encode(src, params)
+        cut at ``max_len``; prefixes are scored once with the op-by-op
+        reference step."""
+        enc = reference_encode(src, params)
         out = []
         frontier = [((), 0.0, enc.init_state, vocab.bos_id)]
         for length in range(1, max_len + 1):
             nxt = []
             for tokens, logp, state, prev in frontier:
-                state, log_dist, _ = decode_step(prev, state, enc, params)
+                state, log_dist, _ = reference_decode_step(prev, state, enc, params)
                 for tok in range(len(vocab)):
                     item = (tokens + (tok,), logp + float(log_dist.values[tok]), state, tok)
                     if tok == vocab.eos_id or length == max_len:
