@@ -80,18 +80,17 @@ def scale(a, c):
 
 
 def matmul(a, b):
+    """``a @ b`` for a vector or matrix ``b``; ``a`` is a vector, a matrix or
+    a stack of matrices (leading batch axes)."""
     av, bv = a.values, b.values
-    if av.ndim == 0 or bv.ndim == 0 or av.shape[-1] != (bv.shape[0] if bv.ndim else -1):
+    if av.ndim == 0 or bv.ndim not in (1, 2) or av.shape[-1] != bv.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
 
     def bw(g):
-        if av.ndim == 2 and bv.ndim == 1:
-            return np.outer(g, bv), av.T @ g
-        if av.ndim == 1 and bv.ndim == 2:
-            return g @ bv.T, np.outer(av, g)
-        if av.ndim == 2 and bv.ndim == 2:
-            return g @ bv.T, av.T @ g
-        return g * bv, g * av  # both 1-D, g scalar
+        rows = av.reshape(-1, av.shape[-1])
+        if bv.ndim == 1:
+            return g[..., None] * bv, rows.T @ np.reshape(g, -1)
+        return g @ bv.T, rows.T @ g.reshape(-1, bv.shape[1])
 
     return Tensor(av @ bv, parents=(a, b), backward=bw)
 
@@ -229,7 +228,9 @@ def backward(loss):
         if node._backward is None:
             continue
         for p, pg in zip(node._parents, node._backward(g)):
-            if id(p) in grads:
+            if p.param:  # a parameter is a leaf: accumulate now, so pg is not kept
+                p.grad += pg
+            elif id(p) in grads:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg

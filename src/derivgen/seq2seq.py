@@ -2,11 +2,12 @@
 
 Bidirectional GRU encoder, single-layer GRU decoder with additive
 attention, tanh output MLP, trained by teacher-forced negative
-log-likelihood under Adadelta. The training loss runs each encoder
-direction and the whole teacher-forced decoder as single tape nodes with
-hand-written backward passes. Generation is beam search returning a
-k-best list of hypotheses; it runs on plain arrays, batched over the live
-beam, and builds no gradient tape.
+log-likelihood under Adadelta. The training loss scores a whole padded
+minibatch at once: each encoder direction, the teacher-forced decoder, and
+the output layer with the loss are single tape nodes with hand-written
+backward passes. Generation is beam search returning a k-best list of
+hypotheses; it runs on plain arrays, batched over the live beam, and builds
+no gradient tape.
 """
 
 from __future__ import annotations
@@ -46,13 +47,18 @@ class Seq2SeqConfig:
         return cls(**known)
 
 
+_GRUS = ("enc_f", "enc_b", "dec")
+
+
 def _gru_params(prefix, in_size, hidden, rng, scale):
-    p = {}
-    for gate in ("z", "r", "h"):
-        p[f"{prefix}_W{gate}"] = nm.uniform_init((hidden, in_size), rng, scale)
-        p[f"{prefix}_U{gate}"] = nm.uniform_init((hidden, hidden), rng, scale)
-        p[f"{prefix}_b{gate}"] = nm.zeros_init((hidden,))
-    return p
+    """A GRU's gate blocks stacked in z, r, h order: ``<prefix>_W`` (3H, in),
+    ``<prefix>_U`` (3H, H) and ``<prefix>_b`` (3H,). The blocks are drawn gate
+    by gate, W before U, as the checkpoint's per-gate tensors are."""
+    w, u = zip(*[(rng.uniform(-scale, scale, size=(hidden, in_size)),
+                  rng.uniform(-scale, scale, size=(hidden, hidden))) for _ in range(3)])
+    return {f"{prefix}_W": nm.parameter(np.concatenate(w)),
+            f"{prefix}_U": nm.parameter(np.concatenate(u)),
+            f"{prefix}_b": nm.zeros_init((3 * hidden,))}
 
 
 class Seq2SeqParams:
@@ -98,99 +104,147 @@ class Seq2SeqParams:
             self.tensors[name].values[...] = values
 
 
-def _gru_names(prefix):
-    """The nine gate tensors of a GRU: W then U then b, each for z, r, h."""
-    return [f"{prefix}_{m}{g}" for m in "WUb" for g in "zrh"]
+def _checkpoint_arrays(params):
+    """The parameters under their checkpoint names, in checkpoint order: each
+    GRU as the nine per-gate tensors ``<prefix>_{W,U,b}{z,r,h}``, which are
+    views of its stacked tensors."""
+    n = params.config.hidden
+    out = {name: t.values for name, t in params.tensors.items()
+           if name.rpartition("_")[0] not in _GRUS}
+    for prefix in _GRUS:
+        for i, gate in enumerate("zrh"):
+            for m in "WUb":
+                out[f"{prefix}_{m}{gate}"] = params[f"{prefix}_{m}"].values[i * n:(i + 1) * n]
+    return out
 
 
-def _stack_gru(arrays):
-    """(W (3H, in), b (3H,), U_zr (2H, H), U_h (H, H)) from the nine gate
-    arrays in ``_gru_names`` order: one matmul then projects an input for
-    all three gates, and one projects the state for z and r."""
-    wz, wr, wh, uz, ur, uh, bz, br, bh = arrays
-    return np.concatenate([wz, wr, wh]), np.concatenate([bz, br, bh]), np.concatenate([uz, ur]), uh
+def _rows(a):
+    """``a`` as the matrix of its last axis: (..., k) to (-1, k)."""
+    return a.reshape(-1, a.shape[-1])
 
 
-def _gru_cell(gx, h, u_zr, u_h):
+def _project(a, w):
+    """``a @ w.T`` for ``a`` with any leading axes, as one matrix product."""
+    return (_rows(a) @ w.T).reshape(a.shape[:-1] + (len(w),))
+
+
+def _gru_cell(gx, h, u):
     """GRU update on arrays from the input projection ``gx`` (rows of
-    [z | r | h]); for one state (H,) or a batch (B, H). Returns the new
-    state and the activations ``_gru_cell_back`` needs."""
+    [z | r | h]) and the stacked state weights ``u``; for one state (H,) or a
+    batch (B, H). Returns the new state and the activations
+    ``_gru_cell_back`` needs."""
     n = h.shape[-1]
-    zr = nm.sigmoid_array(gx[..., :2 * n] + h @ u_zr.T)
+    zr = nm.sigmoid_array(gx[..., :2 * n] + h @ u[:2 * n].T)
     z, r = zr[..., :n], zr[..., n:]
-    rh = r * h
-    h_tilde = np.tanh(gx[..., 2 * n:] + rh @ u_h.T)
-    return (1.0 - z) * h + z * h_tilde, (z, r, rh, h_tilde)
+    h_tilde = np.tanh(gx[..., 2 * n:] + (r * h) @ u[2 * n:].T)
+    return (1.0 - z) * h + z * h_tilde, (z, r, h_tilde)
 
 
-def _gru_cell_back(d, h, acts, u_zr, u_h):
+def _gru_cell_back(d, h, acts, u):
     """Gradients of one ``_gru_cell`` step of state ``h`` from ``d``, the
     gradient of its new state: w.r.t. the input projection and w.r.t. ``h``."""
-    z, r, _, h_tilde = acts
+    z, r, h_tilde = acts
     n = h.shape[-1]
     da_h = d * z * (1.0 - h_tilde * h_tilde)
-    d_rh = da_h @ u_h
-    dgx = np.concatenate([d * (h_tilde - h) * z * (1.0 - z), d_rh * h * r * (1.0 - r), da_h])
-    return dgx, d * (1.0 - z) + d_rh * r + dgx[:2 * n] @ u_zr
+    d_rh = da_h @ u[2 * n:]
+    dgx = np.concatenate([d * (h_tilde - h) * z * (1.0 - z), d_rh * h * r * (1.0 - r), da_h],
+                         axis=-1)
+    return dgx, d * (1.0 - z) + d_rh * r + dgx[..., :2 * n] @ u[:2 * n]
 
 
-def _gru_param_grads(dgx, x, prev, rh):
-    """Gradients of the nine gate tensors, in ``_gru_names`` order, from the
-    per-step rows of the input-projection gradient ``dgx``, the inputs ``x``,
-    the states stepped from ``prev`` and their reset-gated ``rh``."""
-    n = prev.shape[1]
-    dw, du_zr, db = dgx.T @ x, dgx[:, :2 * n].T @ prev, dgx.sum(axis=0)
-    return (dw[:n], dw[n:2 * n], dw[2 * n:], du_zr[:n], du_zr[n:], dgx[:, 2 * n:].T @ rh,
-            db[:n], db[n:2 * n], db[2 * n:])
+def _weight_grad(d, inputs):
+    """``d.T @ [inputs]`` for the rows ``d`` (N, k) of a layer's output
+    gradient and the column blocks ``inputs`` (..., in_i) of its input rows.
+    It is built transposed, block by block, so the blocks are never joined;
+    the result is a (k, sum in_i) view."""
+    d = _rows(d)
+    grad = np.empty((sum(x.shape[-1] for x in inputs), d.shape[1]))
+    start = 0
+    for x in inputs:
+        np.matmul(_rows(x).T, d, out=grad[start:start + x.shape[-1]])
+        start += x.shape[-1]
+    return grad.T
 
 
-def _attention(states, annot_proj, hidden, att_w, att_v):
-    """Additive attention on arrays for one state (H,) or a batch (B, H):
-    the contexts, the weights over source positions and the tanh activations."""
-    u = np.tanh(annot_proj + (states @ att_w.T)[..., None, :])
-    weights = nm.softmax_array(u @ att_v)
-    return weights @ hidden, weights, u
+def _gru_param_grads(dgx, inputs, prev, acts):
+    """Gradients of a GRU's stacked W, U and b from the input-projection
+    gradients ``dgx`` (..., T, 3H) of its steps: ``inputs`` are the column
+    blocks (..., T, in_i) of the steps' inputs, ``prev`` (..., T, H) the
+    states they started from and ``acts`` their activations."""
+    n = prev.shape[-1]
+    dgx, prev = _rows(dgx), _rows(prev)
+    rh = _rows(np.stack([a[1] for a in acts], axis=-2)) * prev
+    du = np.empty((3 * n, n))
+    du[:2 * n], du[2 * n:] = dgx[:, :2 * n].T @ prev, dgx[:, 2 * n:].T @ rh
+    return _weight_grad(dgx, inputs), du, dgx.sum(axis=0)
 
 
-def _gru_run(gx, u_zr, u_h, reverse=False):
+def _attention_tanh(states, annot_proj, att_w):
+    """The additive attention's tanh activations (..., n, H) for states (..., H)."""
+    return np.tanh(annot_proj + (states @ att_w.T)[..., None, :])
+
+
+def _attention(states, annot_proj, hidden, att_w, att_v, neg=None):
+    """Additive attention on arrays for states (..., H): the contexts and the
+    weights over source positions. The source is one (n, 2H) ``hidden`` for
+    all the states, or one (..., n, 2H) per state; ``neg`` (..., n) is -inf
+    at padded source positions and 0 elsewhere."""
+    scores = _attention_tanh(states, annot_proj, att_w) @ att_v
+    if neg is not None:
+        scores += neg
+    weights = nm.softmax_array(scores)
+    if hidden.ndim == 2:
+        return weights @ hidden, weights
+    return (weights[..., None, :] @ hidden)[..., 0, :], weights
+
+
+def _gru_run(gx, u, mask=None, reverse=False):
     """A GRU run on arrays from a zero state over the input projections
-    ``gx``, last row first if ``reverse``: the states, the states each step
-    started from and each step's activations, all in the rows' order."""
-    n, hid = len(gx), len(u_h)
-    out, prev, acts = np.empty((n, hid)), np.empty((n, hid)), [None] * n
-    h = np.zeros(hid)
-    for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        prev[t] = h
-        h, acts[t] = _gru_cell(gx[t], h, u_zr, u_h)
-        out[t] = h
+    ``gx`` (..., T, 3H), last step first if ``reverse``; where ``mask``
+    (..., T) is False, a step keeps the state it started from. The states
+    (..., T, H), the states each step started from and each step's
+    activations, all in step order."""
+    steps, hid = gx.shape[-2], u.shape[1]
+    out = np.empty(gx.shape[:-1] + (hid,))
+    prev, acts = np.empty_like(out), [None] * steps
+    h = np.zeros(gx.shape[:-2] + (hid,))
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        prev[..., t, :] = h
+        new, acts[t] = _gru_cell(gx[..., t, :], h, u)
+        h = new if mask is None else np.where(mask[..., t, None], new, h)
+        out[..., t, :] = h
     return out, prev, acts
 
 
-def _gru_layer(params, prefix, x, reverse=False):
-    """A GRU run from a zero state over the rows of ``x`` (last row first if
-    ``reverse``) as one tape node: the (n, H) states, in the rows' order.
-    Its backward pass runs back through time by hand."""
-    gates = [params[name] for name in _gru_names(prefix)]
-    w, b, u_zr, u_h = _stack_gru([t.values for t in gates])
-    xs = x.values
-    gx = xs @ w.T + b
-    out, prev, acts = _gru_run(gx, u_zr, u_h, reverse)
+def _gru_layer(params, prefix, x, mask=None, reverse=False):
+    """A GRU run from a zero state over the steps of ``x`` (..., T, in), last
+    step first if ``reverse`` and keeping its state where ``mask`` is False,
+    as one tape node: the (..., T, H) states in step order. Its backward
+    pass runs back through time by hand."""
+    w, u, b = (params[f"{prefix}_{m}"] for m in "WUb")
+    out, prev, acts = _gru_run(_project(x.values, w.values) + b.values, u.values, mask, reverse)
 
     def bw(g):
-        dgx = np.empty_like(gx)
-        dh = np.zeros(len(u_h))
+        dgx = np.empty(g.shape[:-1] + (len(w.values),))
+        dh = np.zeros(g.shape[:-2] + g.shape[-1:])
         # back through time: the run's last step first
-        for t in (range(len(gx)) if reverse else range(len(gx) - 1, -1, -1)):
-            dgx[t], dh = _gru_cell_back(g[t] + dh, prev[t], acts[t], u_zr, u_h)
-        rh = np.array([a[2] for a in acts])
-        return (dgx @ w, *_gru_param_grads(dgx, xs, prev, rh))
+        for t in (range(len(acts)) if reverse else range(len(acts) - 1, -1, -1)):
+            d = g[..., t, :] + dh
+            dgx_t, dh = _gru_cell_back(d, prev[..., t, :], acts[t], u.values)
+            if mask is not None:  # a step that kept its state passes the gradient on
+                keep = mask[..., t, None]
+                dgx_t, dh = np.where(keep, dgx_t, 0.0), np.where(keep, dh, d)
+            dgx[..., t, :] = dgx_t
+        dx = (_rows(dgx) @ w.values).reshape(x.values.shape)
+        return (dx, *_gru_param_grads(dgx, (x.values,), prev, acts))
 
-    return nm.Tensor(out, parents=(x, *gates), backward=bw)
+    return nm.Tensor(out, parents=(x, w, u, b), backward=bw)
 
 
 @dataclass
 class EncodedSource:
-    """Encoder output; Tensors from ``encode``, plain arrays from ``ArrayModel.encode``."""
+    """Encoder output; Tensors from ``encode``, plain arrays from ``ArrayModel.encode``.
+    A padded batch puts a leading (B,) axis on each field."""
 
     hidden: object          # (n, 2*hidden): concatenated [fwd; bwd] states
     annot_proj: object      # (n, hidden): attention key projection U @ h_i
@@ -213,12 +267,21 @@ def encode(source_ids, params):
     if isinstance(params, ArrayModel):
         return params.encode(source_ids)
     _check_source(source_ids, params.vocab_size)
-    x = nm.gather(params["src_emb"], source_ids)
+    return _encode(params, source_ids)
+
+
+def _encode(params, ids, mask=None):
+    """``encode`` on the tape for source ids (..., n), where ``mask`` (B, n),
+    if given, marks each row's own positions; each field gets the leading
+    axes of ``ids``. Only the reverse run needs the mask: padding follows a
+    row's own positions, so the forward run reaches them first."""
+    x = nm.gather(params["src_emb"], ids)
     fwd = _gru_layer(params, "enc_f", x)
-    bwd = _gru_layer(params, "enc_b", x, reverse=True)
-    hidden = nm.concat([fwd, bwd], axis=1)
+    bwd = _gru_layer(params, "enc_b", x, mask, reverse=True)
+    hidden = nm.concat([fwd, bwd], axis=-1)
     annot_proj = nm.matmul(hidden, _transpose(params["att_U"]))
-    init_state = nm.tanh(nm.add(nm.matmul(params["init_W"], nm.pick(bwd, 0)), params["init_b"]))
+    first = nm.pick(bwd, (Ellipsis, 0, slice(None)))
+    init_state = nm.tanh(nm.add(nm.matmul(first, _transpose(params["init_W"])), params["init_b"]))
     return EncodedSource(hidden, annot_proj, init_state)
 
 
@@ -235,10 +298,43 @@ def attend(decoder_state_prev, enc, params):
     return context, weights
 
 
-def _output_layer(params, features):
-    """Log-distributions over outputs from [emb; state; context] rows."""
-    mlp = nm.tanh(nm.add(nm.matmul(features, _transpose(params["out_W1"])), params["out_b1"]))
-    return nm.log_softmax(nm.add(nm.matmul(mlp, _transpose(params["out_W2"])), params["out_b2"]))
+def _output_layer(params, emb, dec, rows=slice(None), targets=None):
+    """The output MLP on the features [emb; state; context] of the steps
+    ``rows`` (flat indices over the leading axes) of ``emb`` (..., e) and of
+    the decoder rows ``dec`` (..., 3H), as one tape node: the (N, |V|)
+    log-distributions, or with ``targets`` (N,) their summed negative
+    log-likelihood. The backward pass gathers the features again rather than
+    keeping them."""
+    w1, b1, w2, b2 = (params[name] for name in ("out_W1", "out_b1", "out_W2", "out_b2"))
+    n_emb = emb.values.shape[-1]
+    w1_emb, w1_dec = w1.values[:, :n_emb], w1.values[:, n_emb:]
+
+    def features():
+        return _rows(emb.values)[rows], _rows(dec.values)[rows]
+
+    e, d = features()
+    mlp = np.tanh(e @ w1_emb.T + d @ w1_dec.T + b1.values)
+    log_probs = nm.log_softmax_array(mlp @ w2.values.T + b2.values)
+    if targets is not None:
+        picked = (np.arange(len(targets)), targets)
+        nll = -log_probs[picked].sum()
+
+    def bw(g):
+        if targets is None:
+            d_logits = g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
+        else:
+            d_logits = np.exp(log_probs)
+            d_logits[picked] -= 1.0
+            d_logits *= g
+        d_pre = (d_logits @ w2.values) * (1.0 - mlp * mlp)
+        d_emb, d_dec = np.zeros_like(emb.values), np.zeros_like(dec.values)
+        _rows(d_emb)[rows] = d_pre @ w1_emb
+        _rows(d_dec)[rows] = d_pre @ w1_dec
+        return (d_emb, d_dec, _weight_grad(d_pre, features()), d_pre.sum(axis=0),
+                d_logits.T @ mlp, d_logits.sum(axis=0))
+
+    return nm.Tensor(log_probs if targets is None else nll, backward=bw,
+                     parents=(emb, dec, w1, b1, w2, b2))
 
 
 def decode_step(prev_token, state, enc, params, rows=None):
@@ -255,105 +351,128 @@ def decode_step(prev_token, state, enc, params, rows=None):
         return params.step(prev_token, state if rows is None else state[rows], enc)
     emb = nm.gather(params["tgt_emb"], [prev_token])
     out, weights = _decoder_run(params, enc, emb, state)
-    log_probs = _output_layer(params, nm.concat([emb, out], axis=1))
+    log_probs = _output_layer(params, emb, out)
     next_state = nm.pick(out, (0, slice(params.config.hidden)))
     return next_state, nm.pick(log_probs, 0), nm.constant(weights[0])
 
 
-def _decoder_run(params, enc, emb, start):
-    """T teacher-forced decoder steps from the state ``start`` as one tape
-    node, where ``emb`` (T, emb) embeds each step's previous token: the node
-    of the (T, 3H) rows [state; context] of the steps, and the (T, n)
-    attention weights. Its backward pass runs back through time, attention
-    included, by hand."""
-    gates = [params[name] for name in _gru_names("dec")]
+def _decoder_run(params, enc, emb, start, neg=None):
+    """Teacher-forced decoder steps from the states ``start`` (..., H) as one
+    tape node, where ``emb`` (..., S, e) embeds each step's previous token and
+    ``neg`` (..., n), if given, is -inf at padded source positions: the node
+    of the (..., S, 3H) rows [state; context] of the steps, and the
+    (..., S, n) attention weights. Its backward pass runs back through time,
+    attention included, by hand, and recomputes the attention's tanh
+    activations rather than keeping them."""
+    w, u, b = (params[f"dec_{m}"] for m in "WUb")
     att_w, att_v = params["att_W"], params["att_v"]
-    w, b, u_zr, u_h = _stack_gru([t.values for t in gates])
-    aw, av = att_w.values, att_v.values
+    uv, aw, av = u.values, att_w.values, att_v.values
     hidden, annot_proj = enc.hidden.values, enc.annot_proj.values
     e = emb.values
-    steps, n_emb, hid = len(e), e.shape[1], len(av)
-    prev, x = np.empty((steps, hid)), np.empty((steps, n_emb + 2 * hid))
-    out = np.empty((steps, 3 * hid))
-    weights, attn, acts = np.empty((steps, len(hidden))), [None] * steps, [None] * steps
+    n_emb, hid, steps = e.shape[-1], len(av), e.shape[-2]
+    w_emb, w_ctx = w.values[:, :n_emb], w.values[:, n_emb:]
+    # the embedding part of every step's input projection, in one product
+    ge = _project(e, w_emb) + b.values
+    out, prev = np.empty(e.shape[:-1] + (3 * hid,)), np.empty(e.shape[:-1] + (hid,))
+    weights, acts = np.empty(e.shape[:-1] + hidden.shape[-2:-1]), [None] * steps
     s = start.values
     for t in range(steps):
-        prev[t] = s
-        context, weights[t], attn[t] = _attention(s, annot_proj, hidden, aw, av)
-        x[t, :n_emb], x[t, n_emb:] = e[t], context
-        s, acts[t] = _gru_cell(x[t] @ w.T + b, s, u_zr, u_h)
-        out[t, :hid], out[t, hid:] = s, context
+        prev[..., t, :] = s
+        context, weights[..., t, :] = _attention(s, annot_proj, hidden, aw, av, neg)
+        s, acts[t] = _gru_cell(ge[..., t, :] + context @ w_ctx.T, s, uv)
+        out[..., t, :hid], out[..., t, hid:] = s, context
 
     def bw(g):
-        dgx, dx = np.empty((steps, 3 * hid)), np.empty_like(x)
-        da = np.empty((steps, hid))
+        dgx, d_ctx = np.empty(out.shape), np.empty(out.shape[:-1] + (2 * hid,))
+        da = np.empty_like(prev)
         d_proj, d_v = np.zeros_like(annot_proj), np.zeros(hid)
-        ds = np.zeros(hid)
+        ds = np.zeros_like(s)
         for t in reversed(range(steps)):
-            dgx[t], ds = _gru_cell_back(g[t, :hid] + ds, prev[t], acts[t], u_zr, u_h)
-            dx[t] = dgx[t] @ w
-            dx[t, n_emb:] += g[t, hid:]
-            d_weights = hidden @ dx[t, n_emb:]
-            d_scores = weights[t] * (d_weights - weights[t] @ d_weights)
-            u = attn[t]
-            d_pre = np.outer(d_scores, av) * (1.0 - u * u)
-            d_v += d_scores @ u
-            d_proj += d_pre
-            da[t] = d_pre.sum(axis=0)
-            ds = ds + da[t] @ aw
-        rh = np.array([a[2] for a in acts])
-        return (dx[:, :n_emb], weights.T @ dx[:, n_emb:], d_proj, ds, da.T @ prev, d_v,
-                *_gru_param_grads(dgx, x, prev, rh))
+            p, w_t = prev[..., t, :], weights[..., t, :]
+            dgx[..., t, :], ds = _gru_cell_back(g[..., t, :hid] + ds, p, acts[t], uv)
+            d_ctx[..., t, :] = dc = dgx[..., t, :] @ w_ctx + g[..., t, hid:]
+            d_weights = (hidden @ dc[..., None])[..., 0]
+            d_scores = w_t * (d_weights - (w_t * d_weights).sum(axis=-1, keepdims=True))
+            act = _attention_tanh(p, annot_proj, aw)
+            d_v += d_scores.reshape(-1) @ _rows(act)
+            # the gradient before the tanh, (1 - act^2) * (d_scores * att_v), in place of act
+            np.multiply(act, act, out=act)
+            np.subtract(1.0, act, out=act)
+            act *= d_scores[..., None] * av
+            d_proj += act
+            da[..., t, :] = act.sum(axis=-2)
+            ds = ds + da[..., t, :] @ aw
+        d_emb = (_rows(dgx) @ w_emb).reshape(e.shape)
+        d_hidden = np.swapaxes(weights, -1, -2) @ d_ctx
+        return (d_emb, d_hidden, d_proj, ds, _rows(da).T @ _rows(prev), d_v,
+                *_gru_param_grads(dgx, (e, out[..., hid:]), prev, acts))
 
     node = nm.Tensor(out, backward=bw, parents=(emb, enc.hidden, enc.annot_proj, start,
-                                                 att_w, att_v, *gates))
+                                                 att_w, att_v, w, u, b))
     return node, weights
 
 
-def sequence_loss(triple, params, vocab):
-    """Teacher-forced negative log-likelihood of the derived form plus EOS.
+def _pad(seqs, pad_id):
+    """Id sequences as the rows of a (B, T) array, padded at the end with
+    ``pad_id``, and the (B, T) mask of each row's own positions; the mask is
+    None when no row is padded."""
+    lengths = np.array([len(s) for s in seqs])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(mask.shape, pad_id, dtype=np.intp)
+    ids[mask] = np.concatenate(seqs)
+    return ids, (None if mask.all() else mask)
 
-    The decoder runs all steps in one node, and the output layer scores
-    them in one batch.
+
+def sequence_loss(triples, params, vocab):
+    """Teacher-forced negative log-likelihood of the derived form plus EOS,
+    for one triple or summed over a list of them.
+
+    A list runs as one batch, padded to its longest source and target. The
+    masks keep each example's score what it is alone: the reverse encoder
+    run starts at the example's own last position, attention skips padded
+    positions and the loss skips padded steps.
     """
-    source_ids = vocab.encode_source(triple.base, triple.tag)
-    target_ids = vocab.encode_target(triple.derived)
-    enc = encode(source_ids, params)
-    emb = nm.gather(params["tgt_emb"], [vocab.bos_id] + target_ids[:-1])
-    states, _ = _decoder_run(params, enc, emb, enc.init_state)
-    log_probs = _output_layer(params, nm.concat([emb, states], axis=1))
-    picked = nm.pick(log_probs, (np.arange(len(target_ids)), np.array(target_ids)))
-    return nm.scale(nm.sum_all(picked), -1.0)
+    batch = triples if isinstance(triples, (list, tuple)) else [triples]
+    if not batch:
+        raise ValueError("sequence_loss: empty list of triples")
+    targets = [vocab.encode_target(t.derived) for t in batch]
+    src, src_mask = _pad([vocab.encode_source(t.base, t.tag) for t in batch], vocab.pad_id)
+    prev, tgt_mask = _pad([[vocab.bos_id] + y[:-1] for y in targets], vocab.pad_id)
+    if batch is not triples:  # one triple: no batch axis
+        src, prev = src[0], prev[0]
+    enc = _encode(params, src, src_mask)
+    emb = nm.gather(params["tgt_emb"], prev)
+    neg = None if src_mask is None else np.where(src_mask, 0.0, -np.inf)
+    states, _ = _decoder_run(params, enc, emb, enc.init_state, neg)
+    rows = slice(None) if tgt_mask is None else np.flatnonzero(tgt_mask)
+    return _output_layer(params, emb, states, rows, np.concatenate(targets))
 
 
 class ArrayModel:
     """The parameters as plain arrays, for decoding without a gradient tape.
 
-    Each GRU's z/r/h gate matrices are stacked so that one matmul projects
-    its input for all three gates; the biases are folded into that
-    projection. The stacked matrices are copies, so a model built before
-    the parameters change does not see the change.
+    The arrays are the parameters' own storage, not copies, so a model built
+    before the parameters change sees the change. Each GRU's gate matrices
+    are stacked, so one matmul projects its input for all three gates; the
+    biases are folded into that projection.
     """
 
     def __init__(self, params):
         self.vocab_size = params.vocab_size
-        self.v = v = {name: t.values for name, t in params.tensors.items()}
-        self.enc_f, self.enc_b, self.dec = (
-            _stack_gru([v[name] for name in _gru_names(prefix)])
-            for prefix in ("enc_f", "enc_b", "dec"))
+        self.v = {name: t.values for name, t in params.tensors.items()}
 
-    @staticmethod
-    def _run(gru, x, reverse=False):
-        w, b, u_zr, u_h = gru
-        return _gru_run(x @ w.T + b, u_zr, u_h, reverse)[0]
+    def _run(self, prefix, x, reverse=False):
+        v = self.v
+        return _gru_run(x @ v[f"{prefix}_W"].T + v[f"{prefix}_b"], v[f"{prefix}_U"],
+                        reverse=reverse)[0]
 
     def encode(self, source_ids):
         """``encode`` on arrays: both directions, one input matmul each."""
         _check_source(source_ids, self.vocab_size)
         v = self.v
         x = v["src_emb"][np.asarray(source_ids, dtype=np.intp)]
-        fwd = self._run(self.enc_f, x)
-        bwd = self._run(self.enc_b, x, reverse=True)
+        fwd = self._run("enc_f", x)
+        bwd = self._run("enc_b", x, reverse=True)
         hidden = np.concatenate([fwd, bwd], axis=1)
         init_state = np.tanh(v["init_W"] @ bwd[0] + v["init_b"])
         return EncodedSource(hidden, hidden @ v["att_U"].T, init_state)
@@ -364,10 +483,9 @@ class ArrayModel:
         attention weights (B, n) out."""
         v = self.v
         emb = v["tgt_emb"][prev_tokens]
-        context, weights, _ = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"])
-        w, b, u_zr, u_h = self.dec
-        gx = np.concatenate([emb, context], axis=1) @ w.T + b
-        next_states = _gru_cell(gx, states, u_zr, u_h)[0]
+        context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"])
+        gx = np.concatenate([emb, context], axis=1) @ v["dec_W"].T + v["dec_b"]
+        next_states = _gru_cell(gx, states, v["dec_U"])[0]
         mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
                       + v["out_b1"])
         return next_states, nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"]), weights
@@ -468,8 +586,8 @@ def _dev_scores(params, vocab, dev):
 def train(split, vocab, config, log=None):
     """Adadelta training with per-epoch dev selection.
 
-    Gradients are accumulated per minibatch (mean loss over the batch);
-    the checkpoint with the best dev accuracy is returned, ties broken by
+    Each minibatch is one ``sequence_loss`` call, and its gradient is that
+    of the mean loss over the batch; the checkpoint with the best dev accuracy is returned, ties broken by
     lower dev edit distance then earlier epoch. Deterministic given the
     config seed.
     """
@@ -497,10 +615,10 @@ def train(split, vocab, config, log=None):
         total_loss = 0.0
         for start in range(0, len(train_data), config.batch):
             batch = train_data[start:start + config.batch]
-            for t in batch:
-                loss = sequence_loss(t, params, vocab)
-                total_loss += float(loss.values)
-                nm.backward(nm.scale(loss, 1.0 / len(batch)))
+            loss = sequence_loss(batch, params, vocab)
+            total_loss += float(loss.values)
+            nm.backward(nm.scale(loss, 1.0 / len(batch)))
+            del loss  # frees this batch's tape before the next one is built
             nm.adadelta_step(params.tensors, state, clip_norm=config.clip)
         dev_acc, dev_edit = _dev_scores(params, vocab, split.dev) if split.dev else (0.0, 0.0)
         emit(
@@ -525,8 +643,12 @@ def train(split, vocab, config, log=None):
 
 
 def save_model(path, params, vocab, meta=None):
-    """Checkpoint container plus a JSON sidecar with vocab/config/metrics."""
-    nm.save_params(path, params.tensors, meta={"kind": "seq2seq"})
+    """Checkpoint container plus a JSON sidecar with vocab/config/metrics.
+
+    The container holds each GRU as its nine per-gate tensors."""
+    arrays = _checkpoint_arrays(params)
+    nm.save_params(path, {name: nm.constant(a) for name, a in arrays.items()},
+                   meta={"kind": "seq2seq"})
     sidecar = {
         "vocab": vocab.to_dict(),
         "config": params.config.to_dict(),
@@ -555,8 +677,9 @@ def load_model(path):
     """Inverse of save_model.
 
     The tensors must have exactly the names and shapes that the sidecar's
-    vocab and config give; anything else, or a file that cannot be read,
-    raises ValueError naming the file.
+    vocab and config give, with each GRU as its nine per-gate tensors, which
+    are stacked again; anything else, or a file that cannot be read, raises
+    ValueError naming the file.
     """
     tensors, _ = nm.load_params(path)
     sidecar_path = path + ".meta.json"
@@ -569,12 +692,14 @@ def load_model(path):
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{sidecar_path}: unreadable model sidecar: "
                          f"{type(e).__name__}: {e}") from None
-    expected = {name: t.shape for name, t in params.tensors.items()}
+    arrays = _checkpoint_arrays(params)
+    expected = {name: a.shape for name, a in arrays.items()}
     for name in sorted(expected.keys() | tensors.keys()):
         got = tensors[name].shape if name in tensors else "none (missing)"
         want = expected.get(name, "none (not a model tensor)")
         if got != want:
             raise ValueError(f"{path}: tensor {name} has shape {got}, but the vocab and "
                              f"config in {sidecar_path} give {want}")
-    params.restore({name: t.values for name, t in tensors.items()})
+    for name, t in tensors.items():
+        arrays[name][...] = t.values
     return params, vocab, sidecar.get("metrics", {})

@@ -232,14 +232,16 @@ def row(table, index):
 
 
 def gru_step(params, prefix, x, h):
-    """Standard GRU cell: h' = (1 - z) * h + z * h_tilde."""
-    def gate(name, state):
-        return nm.add(nm.add(nm.matmul(params[f"{prefix}_W{name}"], x),
-                             nm.matmul(params[f"{prefix}_U{name}"], state)),
-                      params[f"{prefix}_b{name}"])
+    """Standard GRU cell: h' = (1 - z) * h + z * h_tilde, with each gate's
+    weights picked as a row block of the stacked ``W``, ``U`` and ``b``."""
+    n = len(h.values)
 
-    z, r = sigmoid(gate("z", h)), sigmoid(gate("r", h))
-    h_tilde = nm.tanh(gate("h", mul(r, h)))
+    def gate(i, state):
+        w, u, b = (nm.pick(params[f"{prefix}_{m}"], (slice(i * n, (i + 1) * n),)) for m in "WUb")
+        return nm.add(nm.add(nm.matmul(w, x), nm.matmul(u, state)), b)
+
+    z, r = sigmoid(gate(0, h)), sigmoid(gate(1, h))
+    h_tilde = nm.tanh(gate(2, mul(r, h)))
     one = nm.constant(np.ones_like(z.values))
     return nm.add(mul(sub(one, z), h), mul(z, h_tilde))
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from derivgen import numeric as nm
 from derivgen.cli import main
 from derivgen.corpus import Triple, Vocab, write_triples
-from derivgen.seq2seq import Seq2SeqConfig, Seq2SeqParams, save_model
+from derivgen.seq2seq import Seq2SeqConfig, Seq2SeqParams, load_model, save_model
 from derivgen.synthetic import generate
 
 BENCH_CHECKPOINT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -196,6 +197,15 @@ def _missing_tensor(path, params, vocab):
     save_model(str(path), params, vocab)
 
 
+def _stacked_name(path, params, vocab):
+    # the file holds each GRU as nine per-gate tensors, never a stacked one
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    w = params["enc_f_W"].values
+    payload["params"]["enc_f_W"] = {"shape": list(w.shape), "dtype": "<f8",
+                                    "data": base64.b64encode(w.tobytes()).decode("ascii")}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 def _sidecar_disagrees(path, params, vocab):
     sidecar = path.parent / (path.name + ".meta.json")
     meta = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -237,6 +247,7 @@ class TestModelFiles:
         (_missing_tensor, ("m.ckpt", "out_b2", "missing")),
         (_sidecar_disagrees, ("m.ckpt", "m.ckpt.meta.json")),
         (_corrupt_sidecar, ("m.ckpt.meta.json",)),
+        (_stacked_name, ("m.ckpt", "enc_f_W", "not a model tensor")),
     ])
     def test_damaged_model_is_model_error(self, tmp_path, capsys, damage, names):
         path, params, vocab = self.saved(tmp_path)
@@ -251,6 +262,14 @@ class TestModelFiles:
         assert self.predict(BENCH_CHECKPOINT, tmp_path, "quick\tADVERB\nbake\tAGENT\n") == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
         assert [r[2] for r in rows] == ["1", "2", "1", "2"]
+
+    def test_committed_benchmark_checkpoint_resaves_byte_identical(self, tmp_path):
+        params, vocab, meta = load_model(BENCH_CHECKPOINT)
+        path = tmp_path / "m.ckpt"
+        save_model(str(path), params, vocab, meta)
+        for suffix in ("", ".meta.json"):
+            with open(BENCH_CHECKPOINT + suffix, "rb") as fh:
+                assert (tmp_path / ("m.ckpt" + suffix)).read_bytes() == fh.read()
 
 
 class TestConfigFile:

@@ -151,6 +151,26 @@ class TestBackward:
         err = max_grad_rel_error(build, {"table": table, "W": W, "c": c})
         assert err < 1e-4
 
+    def test_batched_matmul_against_finite_differences(self):
+        # a stack of matrices (2, 3, 4) by a matrix and by a vector, with the
+        # stack itself built by gather with 2-D ids and concat on the last axis
+        table = nm.parameter(rng.normal(size=(4, 3)))
+        c = nm.parameter(rng.normal(size=(2, 3, 1)))
+        W = nm.parameter(rng.normal(size=(4, 5)))
+        v = nm.parameter(rng.normal(size=4))
+
+        def build():
+            x = nm.concat([nm.gather(table, [[0, 3, 3], [2, 1, 0]]), c], axis=-1)
+            return nm.add(nm.sum_all(nm.tanh(nm.matmul(x, W))), nm.sum_all(nm.matmul(x, v)))
+
+        assert nm.matmul(nm.constant(np.zeros((2, 3, 4))), W).values.shape == (2, 3, 5)
+        err = max_grad_rel_error(build, {"table": table, "c": c, "W": W, "v": v})
+        assert err < 1e-4
+
+    def test_matmul_rejects_a_stacked_right_operand(self):
+        with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(4,\) and \(4, 5, 6\)"):
+            nm.matmul(nm.constant(np.zeros(4)), nm.constant(np.zeros((4, 5, 6))))
+
     def test_gather_range(self):
         table = nm.parameter(rng.normal(size=(5, 3)))
         assert np.array_equal(nm.gather(table, [4, 4, 0]).values, table.values[[4, 4, 0]])

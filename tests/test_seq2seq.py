@@ -70,10 +70,8 @@ class TestEncode:
         # half of the states for the reversed input equals the backward half
         # for the input, mirrored
         params, vocab = micro_params(seed=3)
-        for gate in ("z", "r", "h"):
-            for kind in ("W", "U", "b"):
-                params.tensors[f"enc_b_{kind}{gate}"].values[...] = \
-                    params.tensors[f"enc_f_{kind}{gate}"].values
+        for m in "WUb":
+            params.tensors[f"enc_b_{m}"].values[...] = params.tensors[f"enc_f_{m}"].values
         ids = vocab.encode_source("ab", "T")
         h = params.config.hidden
         fwd_of_reversed = encode(list(reversed(ids)), params).hidden.values[:, :h]
@@ -292,6 +290,71 @@ class TestSequenceLoss:
         err = max_grad_rel_error(
             lambda: sequence_loss(t, params, vocab), params.tensors, stride=3
         )
+        assert err < 1e-4
+
+
+class TestMinibatch:
+    """``sequence_loss`` on a list runs the examples as one padded batch. Its
+    value and every gradient must be the sum of the op-by-op reference's over
+    the examples, which see no padding."""
+
+    BATCHES = (
+        (Triple("abcab", "U", "cabbac"),),
+        # ragged sources and targets, in both orders
+        (Triple("a", "T", "b"), Triple("abcab", "U", "cabbac"), Triple("cc", "T", "c"),
+         Triple("bca", "U", "ab")),
+        # one example much longer than the rest
+        (Triple("ab", "T", "ba"), Triple("cabcabcabcab", "U", "abcabcabcabcabcab"),
+         Triple("c", "U", "a")),
+    )
+
+    @staticmethod
+    def loss_and_grads(build_loss, params):
+        params.clear_grads()
+        loss = build_loss()
+        nm.backward(loss)
+        grads = {n: t.grad.copy() for n, t in params.tensors.items()}
+        params.clear_grads()
+        return float(loss.values), grads
+
+    def test_batch_equals_sum_of_stepwise_losses(self):
+        for seed in range(3):
+            params, vocab = TestArrayModel.random_model(seed)
+            for batch in self.BATCHES:
+                got_loss, got = self.loss_and_grads(
+                    lambda: sequence_loss(list(batch), params, vocab), params)
+
+                def reference():
+                    total = stepwise_loss(batch[0], params, vocab)
+                    for t in batch[1:]:
+                        total = nm.add(total, stepwise_loss(t, params, vocab))
+                    return total
+
+                ref_loss, ref = self.loss_and_grads(reference, params)
+                assert got_loss == pytest.approx(ref_loss, rel=1e-10)
+                for name, g in ref.items():
+                    assert np.any(g != 0.0), name
+                    assert np.max(np.abs(got[name] - g)) <= 1e-10 * max(1.0, np.max(np.abs(g))), name
+
+    def test_one_triple_equals_batch_of_one(self):
+        params, vocab = TestArrayModel.random_model(4)
+        t = self.BATCHES[1][1]
+        alone = self.loss_and_grads(lambda: sequence_loss(t, params, vocab), params)
+        batch = self.loss_and_grads(lambda: sequence_loss([t], params, vocab), params)
+        assert alone[0] == pytest.approx(batch[0], rel=1e-12)
+        for name, g in alone[1].items():
+            assert np.max(np.abs(batch[1][name] - g)) <= 1e-12 * max(1.0, np.max(np.abs(g))), name
+
+    def test_empty_list_errors(self):
+        params, vocab = micro_params()
+        with pytest.raises(ValueError, match="empty"):
+            sequence_loss([], params, vocab)
+
+    def test_gradient_matches_finite_differences_through_padding(self):
+        params, vocab = TestArrayModel.random_model(5)
+        batch = list(self.BATCHES[1])
+        err = max_grad_rel_error(lambda: sequence_loss(batch, params, vocab), params.tensors,
+                                 stride=2)
         assert err < 1e-4
 
 
