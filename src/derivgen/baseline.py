@@ -45,18 +45,10 @@ class EditScript:
         """Run the actions over the source; consumes the whole input."""
         out = []
         pos = 0
-        for kind, ch in self.actions:
-            if kind == SUB:
-                out.append(ch)
-                pos += 1
-            elif kind == DEL:
-                pos += 1
-            elif kind == INS:
-                out.append(ch)
-            elif kind == STOP:
+        for action in self.actions:
+            if action[0] == STOP:
                 break
-            else:
-                raise ValueError(f"unknown action kind: {kind}")
+            pos, _ = _advance(action, self.source, pos, out, 0)
         if pos != len(self.source):
             raise ValueError(
                 f"script consumed {pos} of {len(self.source)} input characters"
@@ -66,17 +58,10 @@ class EditScript:
     @property
     def cost(self):
         """Number of non-copy actions (unit edit cost)."""
-        n = 0
-        pos = 0
+        n = pos = 0
         for kind, ch in self.actions:
-            if kind == SUB:
-                n += ch != self.source[pos]
-                pos += 1
-            elif kind == DEL:
-                n += 1
-                pos += 1
-            elif kind == INS:
-                n += 1
+            n += kind != SUB or ch != self.source[pos]
+            pos, _ = _advance((kind, ch), self.source, pos, [], 0)
         return n
 
 
@@ -253,27 +238,36 @@ class PerceptronModel:
         return self._legal[(position < source_len) * 1, (consecutive_ins < self.max_consecutive_ins) * 1]
 
 
+def _advance(action, source, pos, out, inserts):
+    """Apply one action to the transducer state; returns the new (pos, inserts).
+
+    COPY writes ``source[pos]`` and SUB its own character, and both consume
+    one input character. DEL only consumes. INS writes without consuming and
+    extends the insertion run. Written characters are appended to ``out``.
+    """
+    kind, ch = action
+    if kind == INS:
+        out.append(ch)
+        return pos, inserts + 1
+    if kind == COPY:
+        out.append(source[pos])
+    elif kind == SUB:
+        out.append(ch)
+    elif kind != DEL:
+        raise ValueError(f"unknown action kind: {kind}")
+    return pos + 1, 0
+
+
 def _training_states(triple, window, history_len):
     """(features, gold action, position, inserts) for each state of one triple."""
     script = align(triple.base, triple.derived)
     pos = 0
     history = []
     inserts = 0
-    for action in script.actions:
-        kind, ch = action
-        if kind == SUB and ch == triple.base[pos]:
-            action = (COPY, "")
+    for kind, ch in script.actions:
+        action = (COPY, "") if kind == SUB and ch == triple.base[pos] else (kind, ch)
         yield featurize(triple.base, triple.tag, pos, history, window, history_len, inserts), action, pos, inserts
-        if kind == SUB:
-            history.append(ch)
-            pos += 1
-            inserts = 0
-        elif kind == DEL:
-            pos += 1
-            inserts = 0
-        else:
-            history.append(ch)
-            inserts += 1
+        pos, inserts = _advance(action, triple.base, pos, history, inserts)
     yield featurize(triple.base, triple.tag, pos, history, window, history_len, inserts), (STOP, ""), pos, inserts
 
 
@@ -323,7 +317,7 @@ def train_perceptron(data, epochs=10, seed=0, window=3, history_len=2):
 
 
 def decode_greedy(model, base, tag):
-    """Apply argmax actions left to right until STOP or input exhausted."""
+    """Apply argmax actions left to right until STOP, or until no action is legal."""
     if model.avg_weights is None:
         raise ValueError("decode_greedy: model not finalized")
     out = []
@@ -338,26 +332,11 @@ def decode_greedy(model, base, tag):
         scores = np.add.reduce(model.avg_weights.take(rows, axis=0), axis=0)
         best = int(np.where(legal, scores, -np.inf).argmax())
         if not legal[best]:
-            break  # no legal action
-        kind, ch = model.action_set[best]
-        if kind == STOP:
+            break  # a model read from a file may lack STOP or every edit action
+        action = model.action_set[best]
+        if action[0] == STOP:
             break
-        if kind == COPY:
-            out.append(base[pos])
-            pos += 1
-            consecutive_ins = 0
-        elif kind == SUB:
-            out.append(ch)
-            pos += 1
-            consecutive_ins = 0
-        elif kind == DEL:
-            pos += 1
-            consecutive_ins = 0
-        else:
-            out.append(ch)
-            consecutive_ins += 1
-        if pos > len(base):
-            break
+        pos, consecutive_ins = _advance(action, base, pos, out, consecutive_ins)
     return "".join(out)
 
 
@@ -383,6 +362,9 @@ class BaselineModel:
 
 
 def train_baseline(data, epochs=10, seed=0, window=3, history_len=2, per_tag=False):
+    """One perceptron over ``data``, or one per tag; rejects out-of-range settings."""
+    if epochs < 1 or window < 0 or history_len < 0:
+        raise ValueError("invalid baseline hyperparameters")
     if per_tag:
         groups = {}
         for t in data:

@@ -135,25 +135,13 @@ def cmd_train(args):
 
     if args.kind == "baseline":
         opts = _merged_options(args, BASELINE_KEYS)
-
-        def opt(key, default):  # an explicit 0 is a value, not "unset"
-            return default if opts.get(key) is None else opts[key]
-
-        epochs = int(opt("epochs", 10))
-        seed = int(opt("seed", 0))
-        window = int(opt("window", 3))
-        history = int(opt("history", 2))
-        per_tag = bool(opt("per_tag", False))
-        if epochs < 1 or window < 0 or history < 0:
-            raise DataError("invalid baseline hyperparameters")
+        if "history" in opts:
+            opts["history_len"] = opts.pop("history")
+        model = bl.train_baseline(split.train, **opts)
         lines = [
-            f"model=baseline window={window} history={history} epochs={epochs} "
-            f"seed={seed} per_tag={int(per_tag)}"
+            f"model=baseline window={model.window} history={model.history_len} epochs={model.epochs} "
+            f"seed={model.seed} per_tag={int(model.per_tag)}"
         ]
-        model = bl.train_baseline(
-            split.train, epochs=epochs, seed=seed, window=window,
-            history_len=history, per_tag=per_tag,
-        )
         if split.dev:
             preds = [model.predict(t.base, t.tag) for t in split.dev]
             gold = [t.derived for t in split.dev]
@@ -179,15 +167,10 @@ def cmd_train(args):
 def _read_queries(path):
     """TSV of base<TAB>tag rows (a third column, if present, is ignored)."""
     queries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: expected base<TAB>tag")
-            queries.append((parts[0], parts[1]))
+    for lineno, parts in corpus.read_rows(path):
+        if len(parts) < 2:
+            raise DataError(f"{path}:{lineno}: expected base<TAB>tag")
+        queries.append((parts[0], parts[1]))
     return queries
 
 
@@ -238,20 +221,15 @@ def read_predictions(path):
     """Prediction TSV back into per-query ranked lists, input order preserved."""
     by_query = {}
     order = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields")
-            base, tag, rank, pred, _logp = parts
-            key = (base, tag)
-            if key not in by_query:
-                by_query[key] = []
-                order.append(key)
-            by_query[key].append((int(rank), pred))
+    for lineno, parts in corpus.read_rows(path):
+        if len(parts) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 fields")
+        base, tag, rank, pred, _logp = parts
+        key = (base, tag)
+        if key not in by_query:
+            by_query[key] = []
+            order.append(key)
+        by_query[key].append((int(rank), pred))
     result = []
     for key in order:
         ranked = sorted(by_query[key])

@@ -204,21 +204,26 @@ def build_vocab(train):
     return Vocab(chars, tags)
 
 
-def read_triples(path):
-    """Read a TSV triple file; malformed lines are reported with their number."""
-    triples = []
+def read_rows(path):
+    """``(line number, tab-separated fields)`` for each line of a TSV file that
+    is neither blank nor a '#' comment."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            try:
-                triples.append(Triple(*parts))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
+            if line and not line.startswith("#"):
+                yield lineno, line.split("\t")
+
+
+def read_triples(path):
+    """Read a TSV triple file; malformed lines are reported with their number."""
+    triples = []
+    for lineno, parts in read_rows(path):
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        try:
+            triples.append(Triple(*parts))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return triples
 
 

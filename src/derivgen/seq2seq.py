@@ -583,7 +583,7 @@ def _dev_scores(params, vocab, dev):
     return _accuracy(preds, gold), _avg_edit(preds, gold)
 
 
-def train(split, vocab, config, log=None):
+def train(split, vocab, config):
     """Adadelta training with per-epoch dev selection.
 
     Each minibatch is one ``sequence_loss`` call, and its gradient is that
@@ -594,16 +594,10 @@ def train(split, vocab, config, log=None):
     if not split.train:
         raise ValueError("train: empty training split")
     lines = []
-
-    def emit(msg):
-        lines.append(msg)
-        if log is not None:
-            log(msg)
-
     params = Seq2SeqParams(len(vocab), config)
     state = nm.AdadeltaState(params.tensors, rho=config.rho, eps=config.eps)
     order_rng = random.Random(config.seed)
-    emit(
+    lines.append(
         f"model=seq2seq emb={config.emb} hidden={config.hidden} batch={config.batch} "
         f"epochs={config.epochs} beam={config.beam} rho={config.rho} eps={config.eps} "
         f"seed={config.seed}"
@@ -621,7 +615,7 @@ def train(split, vocab, config, log=None):
             del loss  # frees this batch's tape before the next one is built
             nm.adadelta_step(params.tensors, state, clip_norm=config.clip)
         dev_acc, dev_edit = _dev_scores(params, vocab, split.dev) if split.dev else (0.0, 0.0)
-        emit(
+        lines.append(
             f"epoch={epoch} loss={total_loss / len(train_data):.6f} "
             f"dev_acc={dev_acc:.4f} dev_edit={dev_edit:.4f}"
         )
@@ -630,7 +624,7 @@ def train(split, vocab, config, log=None):
         if best is None or key > best[0]:
             best = (key, params.snapshot(), epoch)
         if config.stop_at_dev_acc is not None and dev_acc >= config.stop_at_dev_acc:
-            emit(f"early_stop=1 epoch={epoch} dev_acc={dev_acc:.4f}")
+            lines.append(f"early_stop=1 epoch={epoch} dev_acc={dev_acc:.4f}")
             break
     params.restore(best[1])
     meta = {
@@ -638,7 +632,7 @@ def train(split, vocab, config, log=None):
         "best_dev_accuracy": best[0][0],
         "best_dev_edit": -best[0][1],
     }
-    emit(f"best_epoch={meta['best_epoch']} best_dev_acc={meta['best_dev_accuracy']:.4f}")
+    lines.append(f"best_epoch={meta['best_epoch']} best_dev_acc={meta['best_dev_accuracy']:.4f}")
     return params, meta, lines
 
 

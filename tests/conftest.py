@@ -145,11 +145,34 @@ class ReferencePerceptron:
         return out
 
 
+def reference_states(triple, window=3, history_len=2):
+    """(features, gold action, position, inserts) for each state of the
+    triple's alignment, then the final STOP state. The walk over the actions
+    is its own, independent of the program's transducer step; a SUB of the
+    current character is a COPY."""
+    from derivgen.baseline import align, featurize
+
+    base, out, pos, inserts, states = triple.base, [], 0, 0, []
+    for kind, ch in align(base, triple.derived).actions:
+        gold = ("copy", "") if kind == "sub" and ch == base[pos] else (kind, ch)
+        states.append((featurize(base, triple.tag, pos, out, window, history_len, inserts), gold, pos, inserts))
+        if kind == "ins":
+            out.append(ch)
+            inserts += 1
+        else:
+            if kind == "sub":
+                out.append(ch)
+            pos += 1
+            inserts = 0
+    states.append((featurize(base, triple.tag, pos, out, window, history_len, inserts), ("stop", ""), pos, inserts))
+    return states
+
+
 def reference_train(data, epochs, seed, window=3, history_len=2):
     """``baseline.train_perceptron`` on a :class:`ReferencePerceptron`."""
-    from derivgen.baseline import _action_sort_key, _training_states
+    from derivgen.baseline import _action_sort_key
 
-    prepared = [list(_training_states(t, window, history_len)) for t in data]
+    prepared = [reference_states(t, window, history_len) for t in data]
     ref = ReferencePerceptron(sorted({s[1] for states in prepared for s in states}, key=_action_sort_key))
     rng = random.Random(seed)
     order = list(range(len(data)))

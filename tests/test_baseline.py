@@ -22,7 +22,8 @@ from derivgen.baseline import (
 )
 from derivgen.corpus import Triple, levenshtein
 
-from conftest import all_strings, levenshtein_oracle, reference_decode, reference_train
+from conftest import (ReferencePerceptron, all_strings, levenshtein_oracle, reference_decode, reference_states,
+                      reference_train)
 
 
 class TestAlign:
@@ -164,13 +165,16 @@ def random_corpus(seed, n=12, insert_run=0):
 
 class TestPerceptronOracle:
     """The interned-feature perceptron against the dict-based reference in
-    conftest: the same averaged weights, bit for bit, and the same outputs."""
+    conftest: the same training states, the same averaged weights, bit for
+    bit, and the same outputs."""
 
     @pytest.mark.parametrize("seed, insert_run", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 7), (5, 9)])
     def test_same_weights_and_outputs_as_reference(self, seed, insert_run):
         data = random_corpus(seed, insert_run=insert_run)
         model = train_perceptron(data, epochs=3, seed=seed)
-        past_cap = [s for t in data for s in _training_states(t, 3, 2) if s[3] >= model.max_consecutive_ins]
+        states = [s for t in data for s in _training_states(t, 3, 2)]
+        assert states == [s for t in data for s in reference_states(t)]
+        past_cap = [s for s in states if s[3] >= model.max_consecutive_ins]
         assert bool(past_cap) == (insert_run > model.max_consecutive_ins)
         ref = reference_train(data, epochs=3, seed=seed)
         assert model.action_set == ref.action_set
@@ -181,6 +185,21 @@ class TestPerceptronOracle:
         queries += [("".join(rng.choice("abcde") for _ in range(rng.randint(1, 7))), rng.choice("PQRS"))
                     for _ in range(30)]
         for base, tag in queries:
+            assert decode_greedy(model, base, tag) == reference_decode(ref, base, tag)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_weights_decode_like_reference(self, seed):
+        # a trained model seldom deletes right after an insertion (an optimal
+        # alignment substitutes instead); random weights decode through such states
+        data = random_corpus(seed)
+        model = train_perceptron(data, epochs=1, seed=seed)
+        model.avg_weights = np.random.default_rng(seed).normal(size=model.avg_weights.shape)
+        ref = ReferencePerceptron(model.action_set)
+        ref.averaged = model.averaged
+        rng = random.Random(seed)
+        for _ in range(50):
+            base = "".join(rng.choice("abcde") for _ in range(rng.randint(1, 7)))
+            tag = rng.choice("PQRS")
             assert decode_greedy(model, base, tag) == reference_decode(ref, base, tag)
 
     def test_ties_go_to_the_first_action(self):
@@ -278,3 +297,16 @@ class TestModelFileV1:
         path.write_text(text + "*\tt=RESULT\tins:Z\t1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"m\.model:806: action 'ins:Z'"):
             load_baseline(path)
+
+    @pytest.mark.parametrize("actions, weights, expected", [
+        (("copy:", "ins:y"), ["*\tt=T\tins:y\t0.5"], "yyyyyayyyyybyyyyy"),
+        (("ins:y", "stop:"), [], "yyyyy"),
+    ])
+    def test_decoding_ends_when_no_action_is_legal(self, tmp_path, actions, weights, expected):
+        # a file may lack STOP (no way to end after the input) or every edit
+        # action (no way to consume it): decoding ends at the insertion cap
+        lines = ["derivgen-perceptron v1 per_tag=0 window=3 history=2 epochs=10 seed=0"]
+        lines += [f"!\t*\t{a}" for a in actions] + weights
+        path = tmp_path / "m.model"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_baseline(path).predict("ab", "T") == expected

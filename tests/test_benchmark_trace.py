@@ -3,9 +3,9 @@
 ``perfbench/run.py --trace 1`` wraps the program's public functions and
 derives its per-layer metrics from their calls, so a change to what the
 program calls (or how often) can break the traced run while every other
-test passes. These runs take the shortest path through each seq2seq
-workload: zero timed seconds, then the traced rounds and the checks. Their
-span files go to the git-ignored ``perfbench/out/``.
+test passes. These runs take the shortest path through each workload: zero
+timed seconds, then the traced rounds and the checks. Their span files, and
+the baseline's CLI work files, go to the git-ignored ``perfbench/out/``.
 """
 
 import json
@@ -18,7 +18,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["s2s-train", "s2s-predict"])
+@pytest.mark.parametrize("workload", ["s2s-train", "s2s-predict", "baseline-cli"])
 def test_traced_run_exits_cleanly_and_correct(workload):
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
            "--seed", "0", "--seconds", "0", "--trace", "1"]

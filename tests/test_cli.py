@@ -160,7 +160,7 @@ class TestTrainPredictEvaluate:
         assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
                     "--model", str(tmp_path / "m"), "--epochs", "0"]) == 2
 
-    def test_explicit_zero_is_a_value(self, tmp_path, toy_dataset):
+    def test_explicit_zero_is_a_value(self, tmp_path, toy_dataset, capsys):
         splits = tmp_path / "splits"
         run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
         model = tmp_path / "b.model"
@@ -169,9 +169,54 @@ class TestTrainPredictEvaluate:
         header = (tmp_path / "b.model.log").read_text().splitlines()[0]
         assert "window=0 history=0 epochs=1 seed=0" in header
         # the range checks still apply to explicit values
+        capsys.readouterr()
         for bad in (["--epochs", "0"], ["--window", "-1"], ["--history", "-1"]):
             assert run(["train", "--kind", "baseline", "--splits", str(splits),
                         "--model", str(model)] + bad) == 2
+            assert capsys.readouterr().err == "error: invalid baseline hyperparameters\n"
+
+    @pytest.mark.parametrize("config, values", [
+        (None, "window=3 history=2 epochs=10 seed=0"),
+        ("window = 2\nhistory = 1\nper_tag = true\nepochs = 1\n", "window=2 history=1 epochs=1 seed=0"),
+    ])
+    def test_baseline_log_and_model_headers(self, tmp_path, toy_dataset, config, values):
+        extra = []
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            extra = ["--config", str(cfg)]
+        _, model = self.pipeline(tmp_path, toy_dataset, "baseline", extra)
+        per_tag = int(config is not None)
+        log_header = (tmp_path / "baseline.model.log").read_text().splitlines()[0]
+        assert log_header == f"model=baseline {values} per_tag={per_tag}"
+        model_header = model.read_text().splitlines()[0]
+        assert model_header == f"derivgen-perceptron v1 per_tag={per_tag} {values}"
+
+    def test_blank_comment_and_gold_rows_in_queries(self, tmp_path, toy_dataset):
+        splits, model = self.pipeline(tmp_path, toy_dataset, "baseline")
+        plain = make_queries(tmp_path, splits / "test.tsv")
+        gold = (splits / "test.tsv").read_text(encoding="utf-8")
+        messy = tmp_path / "messy.tsv"
+        messy.write_text("\n# a comment\n" + gold, encoding="utf-8")  # base, tag and derived columns
+        outputs = []
+        for queries in (plain, messy):
+            pred = tmp_path / f"{queries.stem}.pred.tsv"
+            assert run(["predict", "--model", str(model), "--input", str(queries),
+                        "--output", str(pred)]) == 0
+            outputs.append(pred.read_text(encoding="utf-8"))
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == len(gold.splitlines())
+
+    def test_short_query_and_long_prediction_rows_name_the_line(self, tmp_path, toy_dataset, capsys):
+        splits, model = self.pipeline(tmp_path, toy_dataset, "baseline")
+        queries = tmp_path / "q.tsv"
+        queries.write_text("abc\tT\nabc\n", encoding="utf-8")
+        assert run(["predict", "--model", str(model), "--input", str(queries)]) == 2
+        assert f"{queries}:2:" in capsys.readouterr().err
+        # a '#' line is skipped, so the bad row is the third line, not the first
+        pred = tmp_path / "p.tsv"
+        pred.write_text("# a comment\nabc\tT\t1\tabcx\t0.0\nabc\tT\t2\tabcy\n", encoding="utf-8")
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(splits / "test.tsv")]) == 2
+        assert f"{pred}:3:" in capsys.readouterr().err
 
     def test_missing_splits_is_data_error(self, tmp_path):
         assert run(["train", "--kind", "baseline", "--splits", str(tmp_path / "none"),
