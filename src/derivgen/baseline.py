@@ -386,10 +386,10 @@ def _action_str(action):
     return f"{action[0]}:{action[1]}"
 
 
-def _parse_action(s):
+def _parse_action(s, where):
     kind, _, ch = s.partition(":")
     if kind not in _KIND_ORDER:
-        raise ValueError(f"unknown action kind in model file: {s!r}")
+        raise ValueError(f"{where}: unknown action kind {s!r}")
     return (kind, ch)
 
 
@@ -409,27 +409,54 @@ def save_baseline(path, model):
                 fh.write(f"{tag}\t{feat}\t{_action_str(action)}\t{w!r}\n")
 
 
+_HEADER_KEYS = ("per_tag", "window", "history", "epochs", "seed")
+
+
+def _read_header(path, line):
+    """The integer options of a model file's first line; a line that is not a
+    v1 header with every key, or a value that is not an integer, raises
+    ValueError naming the file."""
+    fields = line.split()
+    if fields[:2] != [MODEL_FORMAT, f"v{MODEL_VERSION}"]:
+        raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
+    opts = {}
+    for field in fields[2:]:
+        key, eq, value = field.partition("=")
+        if not eq:
+            raise ValueError(f"{path}:1: header field {field!r} is not key=value")
+        opts[key] = value
+    for key in _HEADER_KEYS:
+        if key not in opts:
+            raise ValueError(f"{path}:1: header lacks {key}=")
+        try:
+            opts[key] = int(opts[key])
+        except ValueError:
+            raise ValueError(f"{path}:1: header value {key}={opts[key]} is not an integer") from None
+    return opts
+
+
 def load_baseline(path):
+    """Inverse of save_baseline; a malformed file raises ValueError naming the
+    file, and the line where it can."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if not header or header[0] != MODEL_FORMAT or header[1] != f"v{MODEL_VERSION}":
-            raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
-        opts = dict(kv.split("=") for kv in header[2:])
-        window = int(opts["window"])
-        history_len = int(opts["history"])
+        opts = _read_header(path, fh.readline())
+        window, history_len = opts["window"], opts["history"]
         columns, entries = {}, {}  # per tag: action -> column; (feature, column, weight) rows
         for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split("\t")
-            if parts[0] == "!":
+            if parts[0] == "!" and len(parts) == 3:
                 cols = columns.setdefault(parts[1], {})
-                cols.setdefault(_parse_action(parts[2]), len(cols))
+                cols.setdefault(_parse_action(parts[2], f"{path}:{lineno}"), len(cols))
                 entries.setdefault(parts[1], [])
             elif len(parts) == 4:
                 tag, feat, action, w = parts
-                col = columns.get(tag, {}).get(_parse_action(action))
+                col = columns.get(tag, {}).get(_parse_action(action, f"{path}:{lineno}"))
                 if col is None:
                     raise ValueError(f"{path}:{lineno}: action {action!r} is not in the action set of {tag!r}")
-                entries[tag].append((feat, col, float(w)))
+                try:
+                    entries[tag].append((feat, col, float(w)))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: weight {w!r} is not a number") from None
             else:
                 raise ValueError(f"{path}:{lineno}: malformed model line")
     models = {}
@@ -442,9 +469,9 @@ def load_baseline(path):
                                       feature_ids=feature_ids, avg_weights=avg)
     return BaselineModel(
         models,
-        per_tag=bool(int(opts["per_tag"])),
+        per_tag=bool(opts["per_tag"]),
         window=window,
         history_len=history_len,
-        epochs=int(opts["epochs"]),
-        seed=int(opts["seed"]),
+        epochs=opts["epochs"],
+        seed=opts["seed"],
     )

@@ -188,16 +188,16 @@ def cmd_predict(args):
     queries = _read_queries(args.input)
     try:
         kind = _detect_model_kind(args.model)
+        if kind == "baseline" and args.k > 1:
+            raise ModelError("baseline is greedy-only")
+        try:
+            loaded = (bl.load_baseline if kind == "baseline" else seq2seq.load_model)(args.model)
+        except ValueError as e:  # corrupt, or not the model its sidecar describes
+            raise ModelError(str(e)) from None
         if kind == "baseline":
-            if args.k > 1:
-                raise ModelError("baseline is greedy-only")
-            model = bl.load_baseline(args.model)
-            rows = [(b, t, 1, model.predict(b, t), 0.0) for b, t in queries]
+            rows = [(b, t, 1, loaded.predict(b, t), 0.0) for b, t in queries]
         else:
-            try:
-                params, vocab, _ = seq2seq.load_model(args.model)
-            except ValueError as e:  # corrupt, or not the model its sidecar describes
-                raise ModelError(str(e)) from None
+            params, vocab, _ = loaded
             beam = max(args.beam or params.config.beam, args.k)
             rows = []
             for b, t in queries:
@@ -225,11 +225,15 @@ def read_predictions(path):
         if len(parts) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields")
         base, tag, rank, pred, _logp = parts
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: rank {rank!r} is not an integer") from None
         key = (base, tag)
         if key not in by_query:
             by_query[key] = []
             order.append(key)
-        by_query[key].append((int(rank), pred))
+        by_query[key].append((rank, pred))
     result = []
     for key in order:
         ranked = sorted(by_query[key])

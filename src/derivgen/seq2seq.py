@@ -7,7 +7,8 @@ minibatch at once: each encoder direction, the teacher-forced decoder, and
 the output layer with the loss are single tape nodes with hand-written
 backward passes. Generation is beam search returning a k-best list of
 hypotheses; it runs on plain arrays, batched over the live beam, and builds
-no gradient tape.
+no gradient tape. Greedy decoding, which scores the dev set after each
+epoch, runs many sources at once as one padded batch.
 """
 
 from __future__ import annotations
@@ -244,11 +245,20 @@ def _gru_layer(params, prefix, x, mask=None, reverse=False):
 @dataclass
 class EncodedSource:
     """Encoder output; Tensors from ``encode``, plain arrays from ``ArrayModel.encode``.
-    A padded batch puts a leading (B,) axis on each field."""
 
-    hidden: object          # (n, 2*hidden): concatenated [fwd; bwd] states
-    annot_proj: object      # (n, hidden): attention key projection U @ h_i
-    init_state: object      # (hidden,): decoder start state
+    A padded batch of B sources puts a leading (B,) axis on each field, and
+    its ``neg`` marks the padding; for one source, or a batch without
+    padding, ``neg`` is None."""
+
+    hidden: object          # ([B,] n, 2*hidden): concatenated [fwd; bwd] states
+    annot_proj: object      # ([B,] n, hidden): attention key projection U @ h_i
+    init_state: object      # ([B,] hidden): decoder start state
+    neg: object = None      # (B, n) array: -inf at padded source positions, 0 elsewhere
+
+
+def _neg(mask):
+    """The attention's ``neg`` for a mask of each row's own positions."""
+    return None if mask is None else np.where(mask, 0.0, -np.inf)
 
 
 def _check_source(source_ids, vocab_size):
@@ -264,9 +274,9 @@ def encode(source_ids, params):
 
     With an ``ArrayModel`` for ``params`` it runs on plain arrays instead.
     """
+    _check_source(source_ids, params.vocab_size)
     if isinstance(params, ArrayModel):
         return params.encode(source_ids)
-    _check_source(source_ids, params.vocab_size)
     return _encode(params, source_ids)
 
 
@@ -282,7 +292,7 @@ def _encode(params, ids, mask=None):
     annot_proj = nm.matmul(hidden, _transpose(params["att_U"]))
     first = nm.pick(bwd, (Ellipsis, 0, slice(None)))
     init_state = nm.tanh(nm.add(nm.matmul(first, _transpose(params["init_W"])), params["init_b"]))
-    return EncodedSource(hidden, annot_proj, init_state)
+    return EncodedSource(hidden, annot_proj, init_state, _neg(mask))
 
 
 def _transpose(t):
@@ -356,10 +366,10 @@ def decode_step(prev_token, state, enc, params, rows=None):
     return next_state, nm.pick(log_probs, 0), nm.constant(weights[0])
 
 
-def _decoder_run(params, enc, emb, start, neg=None):
+def _decoder_run(params, enc, emb, start):
     """Teacher-forced decoder steps from the states ``start`` (..., H) as one
-    tape node, where ``emb`` (..., S, e) embeds each step's previous token and
-    ``neg`` (..., n), if given, is -inf at padded source positions: the node
+    tape node, where ``emb`` (..., S, e) embeds each step's previous token
+    and attention skips the source padding that ``enc.neg`` marks: the node
     of the (..., S, 3H) rows [state; context] of the steps, and the
     (..., S, n) attention weights. Its backward pass runs back through time,
     attention included, by hand, and recomputes the attention's tanh
@@ -378,7 +388,7 @@ def _decoder_run(params, enc, emb, start, neg=None):
     s = start.values
     for t in range(steps):
         prev[..., t, :] = s
-        context, weights[..., t, :] = _attention(s, annot_proj, hidden, aw, av, neg)
+        context, weights[..., t, :] = _attention(s, annot_proj, hidden, aw, av, enc.neg)
         s, acts[t] = _gru_cell(ge[..., t, :] + context @ w_ctx.T, s, uv)
         out[..., t, :hid], out[..., t, hid:] = s, context
 
@@ -442,8 +452,7 @@ def sequence_loss(triples, params, vocab):
         src, prev = src[0], prev[0]
     enc = _encode(params, src, src_mask)
     emb = nm.gather(params["tgt_emb"], prev)
-    neg = None if src_mask is None else np.where(src_mask, 0.0, -np.inf)
-    states, _ = _decoder_run(params, enc, emb, enc.init_state, neg)
+    states, _ = _decoder_run(params, enc, emb, enc.init_state)
     rows = slice(None) if tgt_mask is None else np.flatnonzero(tgt_mask)
     return _output_layer(params, emb, states, rows, np.concatenate(targets))
 
@@ -454,36 +463,43 @@ class ArrayModel:
     The arrays are the parameters' own storage, not copies, so a model built
     before the parameters change sees the change. Each GRU's gate matrices
     are stacked, so one matmul projects its input for all three gates; the
-    biases are folded into that projection.
+    biases are folded into that projection. ``encode`` takes one source or a
+    padded batch of them, and ``step`` advances B decoder states at once,
+    against one source or against one row of a batch each.
     """
 
     def __init__(self, params):
         self.vocab_size = params.vocab_size
         self.v = {name: t.values for name, t in params.tensors.items()}
 
-    def _run(self, prefix, x, reverse=False):
+    def _run(self, prefix, x, mask=None, reverse=False):
         v = self.v
-        return _gru_run(x @ v[f"{prefix}_W"].T + v[f"{prefix}_b"], v[f"{prefix}_U"],
-                        reverse=reverse)[0]
+        return _gru_run(_project(x, v[f"{prefix}_W"]) + v[f"{prefix}_b"], v[f"{prefix}_U"],
+                        mask, reverse)[0]
 
-    def encode(self, source_ids):
-        """``encode`` on arrays: both directions, one input matmul each."""
-        _check_source(source_ids, self.vocab_size)
+    def encode(self, source_ids, mask=None):
+        """``encode`` on arrays, one input matmul per direction, for the ids
+        (n,) of one source or (B, n) of a padded batch, where ``mask`` (B, n),
+        if given, marks each row's own positions. As on the tape, only the
+        reverse run needs the mask, so it starts at each row's own last
+        position, and ``neg`` carries it to attention."""
         v = self.v
         x = v["src_emb"][np.asarray(source_ids, dtype=np.intp)]
         fwd = self._run("enc_f", x)
-        bwd = self._run("enc_b", x, reverse=True)
-        hidden = np.concatenate([fwd, bwd], axis=1)
-        init_state = np.tanh(v["init_W"] @ bwd[0] + v["init_b"])
-        return EncodedSource(hidden, hidden @ v["att_U"].T, init_state)
+        bwd = self._run("enc_b", x, mask, reverse=True)
+        hidden = np.concatenate([fwd, bwd], axis=-1)
+        init_state = np.tanh(bwd[..., 0, :] @ v["init_W"].T + v["init_b"])
+        return EncodedSource(hidden, _project(hidden, v["att_U"]), init_state, _neg(mask))
 
     def step(self, prev_tokens, states, enc):
         """``decode_step`` for B hypotheses at once: token ids (B,) and decoder
         states (B, H) in; next states (B, H), log-distributions (B, |V|) and
-        attention weights (B, n) out."""
+        attention weights (B, n) out. ``enc`` is one source for all B, or a
+        batch of B sources, one per row."""
         v = self.v
         emb = v["tgt_emb"][prev_tokens]
-        context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"])
+        context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"],
+                                      enc.neg)
         gx = np.concatenate([emb, context], axis=1) @ v["dec_W"].T + v["dec_b"]
         next_states = _gru_cell(gx, states, v["dec_U"])[0]
         mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
@@ -565,8 +581,52 @@ def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
     return [Hypothesis(tokens, logp, tokens[-1] == eos) for logp, tokens in best]
 
 
+def greedy_batch(sources, params, vocab, max_len=None):
+    """Greedy decoding of a list of sources at once: for each, the hypothesis
+    that ``beam_search`` returns at beam 1.
+
+    The sources run as one padded batch through an ``ArrayModel``: the
+    reverse encoder run starts at each row's own last position and
+    attention skips padded positions. Each step advances every unfinished
+    row in one batched ``decode_step`` and takes its argmax, the lowest id
+    on a tie, as ``_rank`` orders them. A row stops at EOS or at its own
+    length cap, ``len(source) + max_extra``, or ``max_len`` when given.
+    """
+    if not sources:
+        return []
+    caps = np.array([len(s) + params.config.max_extra if max_len is None else max_len
+                     for s in sources])
+    if caps.min() < 1:
+        raise ValueError("max_len must be >= 1")
+    model = ArrayModel(params)
+    for source_ids in sources:
+        _check_source(source_ids, model.vocab_size)
+    enc = model.encode(*_pad(sources, vocab.pad_id))
+    rows = np.arange(len(sources))  # the unfinished rows, as indices into sources
+    tokens, log_probs = [[] for _ in sources], np.zeros(len(sources))
+    states, keep = enc.init_state, None
+    prev = np.full(len(sources), vocab.bos_id)
+    length = 0
+    while len(rows):
+        length += 1
+        states, dist, _ = decode_step(prev, states, enc, model, rows=keep)
+        prev = dist.argmax(axis=1)
+        log_probs[rows] += dist[np.arange(len(rows)), prev]
+        for row, tok in zip(rows, prev):
+            tokens[row].append(int(tok))
+        going = (prev != vocab.eos_id) & (caps[rows] > length)
+        keep = None if going.all() else np.flatnonzero(going)
+        if keep is not None:  # drop the finished rows, source and all
+            rows, prev = rows[keep], prev[keep]
+            enc = EncodedSource(enc.hidden[keep], enc.annot_proj[keep], None,
+                                None if enc.neg is None else enc.neg[keep])
+    return [Hypothesis(tuple(t), float(lp), t[-1] == vocab.eos_id)
+            for t, lp in zip(tokens, log_probs)]
+
+
 def greedy_decode(source_ids, params, vocab, max_len=None):
-    return beam_search(source_ids, params, vocab, beam=1, k=1, max_len=max_len)[0]
+    """Greedy decoding of one source: a one-row ``greedy_batch``."""
+    return greedy_batch([source_ids], params, vocab, max_len)[0]
 
 
 def predict_kbest(params, vocab, base, tag, beam=12, k=1):
@@ -577,8 +637,13 @@ def predict_kbest(params, vocab, base, tag, beam=12, k=1):
 
 
 def _dev_scores(params, vocab, dev):
-    preds = [greedy_decode(vocab.encode_source(t.base, t.tag), params, vocab).text(vocab)
-             for t in dev]
+    """Greedy accuracy and mean edit distance on ``dev``, decoded as padded
+    batches of ``config.batch`` rows."""
+    size = params.config.batch
+    preds = []
+    for start in range(0, len(dev), size):
+        sources = [vocab.encode_source(t.base, t.tag) for t in dev[start:start + size]]
+        preds += [h.text(vocab) for h in greedy_batch(sources, params, vocab)]
     gold = [t.derived for t in dev]
     return _accuracy(preds, gold), _avg_edit(preds, gold)
 

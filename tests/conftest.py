@@ -212,6 +212,30 @@ def reference_decode(ref, base, tag, window=3, history_len=2, cap=5):
     return "".join(out)
 
 
+def reference_adadelta_step(params, state, clip_norm=None):
+    """Adadelta as one expression per accumulator, each temporary a fresh
+    array: the arithmetic that the in-place ``numeric.adadelta_step`` must
+    reproduce bit for bit."""
+    if clip_norm is not None:
+        norm = nm.global_grad_norm(params)
+        if norm > clip_norm:
+            factor = clip_norm / norm
+            for p in params.values():
+                p.grad *= factor
+    rho, eps = state.rho, state.eps
+    for name, p in params.items():
+        g = p.grad
+        eg = state.accum_grad_sq[name]
+        ed = state.accum_update_sq[name]
+        eg *= rho
+        eg += (1.0 - rho) * g * g
+        delta = -np.sqrt(ed + eps) / np.sqrt(eg + eps) * g
+        ed *= rho
+        ed += (1.0 - rho) * delta * delta
+        p.values += delta
+        p.grad[...] = 0.0
+
+
 # --- The op-by-op seq2seq reference -----------------------------------------
 # The encoder and the decoder step built one elementary op per tape node,
 # from tensor ops that the program itself no longer needs. The program's

@@ -222,6 +222,15 @@ class TestTrainPredictEvaluate:
         assert run(["train", "--kind", "baseline", "--splits", str(tmp_path / "none"),
                     "--model", str(tmp_path / "m")]) == 2
 
+    def test_non_integer_rank_names_the_line(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("abc\tT\tabcx\n", encoding="utf-8")
+        pred = tmp_path / "p.tsv"
+        pred.write_text("abc\tT\tx\tabcx\t0.0\n", encoding="utf-8")
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}:1:" in err and "'x'" in err
+
 
 def _corrupt_checkpoint(path, params, vocab):
     text = path.read_text(encoding="utf-8")
@@ -315,6 +324,67 @@ class TestModelFiles:
         for suffix in ("", ".meta.json"):
             with open(BENCH_CHECKPOINT + suffix, "rb") as fh:
                 assert (tmp_path / ("m.ckpt" + suffix)).read_bytes() == fh.read()
+
+
+BASELINE_V1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "baseline_v1.model")
+
+
+def _drop_header_key(lines):
+    lines[0] = lines[0].replace(" window=3", "")
+
+
+def _one_token_header(lines):
+    lines[0] = "derivgen-perceptron"
+
+
+def _header_token_without_equals(lines):
+    lines[0] = lines[0].replace("window=3", "window3")
+
+
+def _non_numeric_weight(lines):
+    i = next(i for i, line in enumerate(lines) if not line.startswith("!") and i)
+    lines[i] = lines[i].rsplit("\t", 1)[0] + "\tabc"
+
+
+def _non_integer_header_value(lines):
+    lines[0] = lines[0].replace("window=3", "window=x")
+
+
+def _unknown_action_kind(lines):
+    lines[1] = lines[1].replace("copy:", "copy2:")
+
+
+class TestBaselineModelFiles:
+    """A baseline model file with a bad header or weight is a model error
+    (exit 3) naming the file, and the line where it can."""
+
+    @pytest.mark.parametrize("damage, names", [
+        (_drop_header_key, (":1:", "window")),
+        (_one_token_header, ("not a derivgen-perceptron v1 file",)),
+        (_header_token_without_equals, (":1:", "'window3'")),
+        (_non_numeric_weight, (":11:", "'abc'")),  # the file's first weight line
+        (_unknown_action_kind, (":2:", "'copy2:'")),
+        (_non_integer_header_value, (":1:", "window=x")),
+    ])
+    def test_damaged_baseline_is_model_error(self, tmp_path, capsys, damage, names):
+        with open(BASELINE_V1, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        damage(lines)
+        model = tmp_path / "m.model"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        queries = tmp_path / "q.tsv"
+        queries.write_text("take\tAGENT\n", encoding="utf-8")
+        assert run(["predict", "--model", str(model), "--input", str(queries)]) == 3
+        err = capsys.readouterr().err
+        assert str(model) in err
+        for name in names:
+            assert name in err
+
+    def test_intact_baseline_predicts(self, tmp_path, capsys):
+        queries = tmp_path / "q.tsv"
+        queries.write_text("take\tAGENT\n", encoding="utf-8")
+        assert run(["predict", "--model", BASELINE_V1, "--input", str(queries)]) == 0
+        assert capsys.readouterr().out == "take\tAGENT\t1\ttaker\t0.000000\n"
 
 
 class TestConfigFile:

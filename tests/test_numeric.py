@@ -5,7 +5,8 @@ import pytest
 
 from derivgen import numeric as nm
 
-from conftest import finite_difference, max_grad_rel_error, mul, row, sigmoid, stack, sub
+from conftest import (finite_difference, max_grad_rel_error, mul, reference_adadelta_step, row,
+                      sigmoid, stack, sub)
 
 rng = np.random.default_rng(12345)
 
@@ -234,6 +235,30 @@ class TestAdadelta:
         p.grad[:] = 100.0
         nm.adadelta_step(params, state, clip_norm=1.0)
         assert np.all(np.isfinite(p.values))
+
+    def test_bit_identical_to_reference_expression(self):
+        # several steps on tensors of different shapes, with and without a
+        # clip that binds, against the expression form in conftest
+        local = np.random.default_rng(3)
+        shapes = {"w": (7, 5), "b": (5,), "v": (1,)}
+        start = {n: local.normal(size=s) for n, s in shapes.items()}
+        grads = [{n: local.normal(size=s) * 3.0 for n, s in shapes.items()} for _ in range(6)]
+        for clip in (None, 0.5):
+            runs = []
+            for step in (nm.adadelta_step, reference_adadelta_step):
+                params = {n: nm.parameter(v.copy()) for n, v in start.items()}
+                state = nm.AdadeltaState(params, rho=0.9, eps=1e-5)
+                for g in grads:
+                    for n, p in params.items():
+                        p.grad[...] = g[n]
+                    step(params, state, clip_norm=clip)
+                runs.append((params, state))
+            (got, got_state), (want, want_state) = runs
+            for n in shapes:
+                assert np.array_equal(got[n].values, want[n].values), n
+                assert np.array_equal(got_state.accum_grad_sq[n], want_state.accum_grad_sq[n]), n
+                assert np.array_equal(got_state.accum_update_sq[n], want_state.accum_update_sq[n]), n
+                assert np.all(got[n].grad == 0.0)
 
     def test_invalid_hyperparameters(self):
         p = {"p": nm.parameter(np.zeros(1))}

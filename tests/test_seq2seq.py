@@ -14,6 +14,7 @@ from derivgen.seq2seq import (
     beam_search,
     decode_step,
     encode,
+    greedy_batch,
     greedy_decode,
     load_model,
     predict_kbest,
@@ -441,6 +442,105 @@ class TestBeamSearch:
             total += float(log_dist.values[tok])
             prev = tok
         assert hyp.log_prob == pytest.approx(total, abs=1e-9)
+
+
+class TestGreedyBatch:
+    """``greedy_batch`` runs many sources as one padded batch; each row must
+    decode as ``beam_search`` at beam 1 does for its source alone."""
+
+    QUERIES = (("a", "T"), ("abcab", "U"), ("cc", "T"), ("bcabcabca", "U"), ("b", "U"))
+
+    @staticmethod
+    def assert_per_query(sources, params, vocab, max_len=None):
+        got = greedy_batch(sources, params, vocab, max_len=max_len)
+        assert len(got) == len(sources)
+        for src, hyp in zip(sources, got):
+            want = beam_search(src, params, vocab, beam=1, k=1, max_len=max_len)[0]
+            assert hyp.tokens == want.tokens and hyp.finished == want.finished
+            assert hyp.log_prob == pytest.approx(want.log_prob, rel=1e-12, abs=0.0)
+        return got
+
+    def sources(self, vocab):
+        return [vocab.encode_source(base, tag) for base, tag in self.QUERIES]
+
+    def test_batch_of_one(self):
+        for seed in range(4):
+            params, vocab = TestArrayModel.random_model(seed)
+            for src in self.sources(vocab):
+                self.assert_per_query([src], params, vocab)
+
+    def test_ragged_batch(self):
+        for seed in range(8):
+            params, vocab = TestArrayModel.random_model(seed)
+            got = self.assert_per_query(self.sources(vocab), params, vocab)
+            if seed == 0:  # every row runs to its own cap, each a different length
+                assert [len(h.tokens) for h in got] == [len(s) + 10 for s in self.sources(vocab)]
+
+    def test_rows_ending_at_eos_and_at_the_cap(self):
+        # with this model, four rows end at EOS after one or two steps while
+        # the last runs on to its cap
+        params, vocab = TestArrayModel.random_model(3)
+        got = self.assert_per_query(self.sources(vocab), params, vocab)
+        assert [h.finished for h in got] == [True, True, True, True, False]
+        assert max(len(h.tokens) for h in got if h.finished) < len(got[-1].tokens)
+
+    def test_explicit_max_len(self):
+        for seed in (0, 3, 5):
+            params, vocab = TestArrayModel.random_model(seed)
+            for max_len in (1, 2, 4):
+                got = self.assert_per_query(self.sources(vocab), params, vocab, max_len=max_len)
+                assert all(len(h.tokens) <= max_len for h in got)
+        with pytest.raises(ValueError, match="max_len"):
+            greedy_batch(self.sources(vocab), params, vocab, max_len=0)
+
+    def test_empty_list_and_bad_source(self):
+        params, vocab = TestArrayModel.random_model(0)
+        assert greedy_batch([], params, vocab) == []
+        with pytest.raises(ValueError, match="out of vocabulary range"):
+            greedy_batch([vocab.encode_source("ab", "T"), [99]], params, vocab)
+
+    def test_builds_no_tape(self, monkeypatch):
+        params, vocab = TestArrayModel.random_model(3)
+        built = []
+        init = nm.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+        nm.constant(0.0)
+        assert len(built) == 1  # the count sees every tensor built
+        built.clear()
+        greedy_batch(self.sources(vocab), params, vocab)
+        assert len(built) == 0
+
+    def test_training_log_equals_per_query_dev_scoring(self, monkeypatch):
+        # dev scoring in batches of config.batch rows (here 4, 4 and 1 of a
+        # nine-triple dev set) against decoding each dev query alone
+        from derivgen import seq2seq
+        from derivgen.corpus import DatasetSplit
+        from derivgen.metrics import accuracy, avg_edit_distance
+        from derivgen.synthetic import generate
+
+        data = generate(40, seed=3)
+        split = DatasetSplit(tuple(data[:30]), tuple(data[30:39]), (), 0)
+        vocab = build_vocab(split.train + split.dev)
+        cfg = Seq2SeqConfig(emb=6, hidden=5, batch=4, epochs=3, seed=2, init_scale=0.5)
+        batched = train(split, vocab, cfg)
+
+        def per_query(params, vocab, dev):
+            preds = [beam_search(vocab.encode_source(t.base, t.tag), params, vocab,
+                                 beam=1)[0].text(vocab) for t in dev]
+            gold = [t.derived for t in dev]
+            return accuracy(preds, gold), avg_edit_distance(preds, gold)
+
+        monkeypatch.setattr(seq2seq, "_dev_scores", per_query)
+        alone = train(split, vocab, cfg)
+        assert batched[2] == alone[2] and batched[1] == alone[1]
+        assert len({len(t.base) for t in split.dev}) > 1  # the dev batches are ragged
+        for name, t in batched[0].tensors.items():
+            assert np.array_equal(t.values, alone[0].tensors[name].values), name
 
 
 class TestKBestOracle:
