@@ -144,9 +144,10 @@ class PerceptronModel:
 
     Feature strings map to rows through ``feature_ids``; columns follow
     ``action_set``, which is sorted by action kind, then character, so that
-    ties go to the first action in it. ``weights``, ``totals`` and
-    ``last_update`` are the ``(F, A)`` training state; ``avg_weights`` holds
-    the averaged weights once :meth:`finalize` has run.
+    ties go to the first action in it. ``weights`` and ``tick_updates`` are
+    the ``(F, A)`` training state: the weights, and the sum of each update
+    times the tick it came at. ``avg_weights`` holds the averaged weights
+    once :meth:`finalize` has run.
     """
 
     window: int = 3
@@ -155,8 +156,7 @@ class PerceptronModel:
     action_set: list = field(default_factory=list)
     feature_ids: dict = field(default_factory=dict)  # feature string -> row
     weights: np.ndarray = None
-    totals: np.ndarray = None
-    last_update: np.ndarray = None
+    tick_updates: np.ndarray = None
     update_count: int = 0
     avg_weights: np.ndarray = None
 
@@ -172,8 +172,7 @@ class PerceptronModel:
         """Zero the training state for ``n_features`` interned features."""
         shape = (n_features, len(self.action_set))
         self.weights = np.zeros(shape)
-        self.totals = np.zeros(shape)
-        self.last_update = np.zeros(shape, dtype=np.int64)
+        self.tick_updates = np.zeros(shape)
         self.update_count = 0
 
     def observe(self, feats, gold, candidates):
@@ -197,21 +196,18 @@ class PerceptronModel:
             return True
         tick = self.update_count
         cells = (feats[:, None], [gold, rival])  # every feature row, in both columns
-        w = self.weights[cells]
-        # lazy averaging: credit the old weights for the ticks they survived
-        self.totals[cells] += w * (tick - 1 - self.last_update[cells])
-        w += (1.0, -1.0)
-        self.weights[cells] = w
-        self.totals[cells] += w
-        self.last_update[cells] = tick
+        self.weights[cells] += (1.0, -1.0)
+        self.tick_updates[cells] += (tick, -tick)
         return False
 
     def finalize(self):
-        """Flush running totals and freeze the averaged weights."""
+        """Freeze the averaged weights: the mean over ticks 1..T of the weights
+        after each tick. An update d at tick t counts in T + 1 - t of them, so
+        the sum is ``(T + 1) * weights - tick_updates``. Below about 10**8 ticks
+        every term is a whole number under 2**53, so the sum is exact."""
         tick = self.update_count
-        self.totals += self.weights * (tick - self.last_update)
-        self.last_update[:] = tick
-        self.avg_weights = self.totals / tick if tick else np.zeros_like(self.totals)
+        self.avg_weights = (((tick + 1) * self.weights - self.tick_updates) / tick if tick
+                            else np.zeros_like(self.weights))
         return self
 
     @property

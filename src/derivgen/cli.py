@@ -31,40 +31,20 @@ class ModelError(Exception):
     pass
 
 
-def _parse_value(raw):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "null"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
-_INT, _NUMBER, _BOOL = ((int,), "an integer"), ((int, float), "a number"), ((bool,), "true or false")
-# every key a config file may set, with the types its value may take
-CONFIG_KEYS = {
-    "emb": _INT, "hidden": _INT, "batch": _INT, "epochs": _INT, "beam": _INT, "seed": _INT,
-    "window": _INT, "history": _INT, "rho": _NUMBER, "eps": _NUMBER, "clip": _NUMBER,
-    "per_tag": _BOOL,
+# every option of 'train', as a flag and as a config-file key, with its type
+OPTIONS = {
+    "emb": int, "hidden": int, "batch": int, "epochs": int, "beam": int, "seed": int,
+    "window": int, "history": int, "rho": float, "eps": float, "clip": float, "per_tag": bool,
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
 
 
 def load_config_file(path):
     """Flat ``key = value`` file; '#' starts a comment and ``none`` leaves a key unset.
 
-    An unknown key, or a value of the wrong type, is a data error naming the
-    file and line.
+    Each value is parsed by its key's type in ``OPTIONS``. An unknown key,
+    or a value its type cannot parse, is a data error naming the file and
+    line.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -75,13 +55,18 @@ def load_config_file(path):
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in OPTIONS:
                 raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            value = _parse_value(raw)
-            types, what = CONFIG_KEYS[key]
-            if value is not None and type(value) not in types:
-                raise DataError(f"{path}:{lineno}: {key} must be {what}, not {raw}")
-            values[key] = value
+            kind, low = OPTIONS[key], raw.lower()
+            try:
+                if low in ("none", "null"):
+                    values[key] = None
+                elif kind is bool:
+                    values[key] = {"true": True, "false": False}[low]
+                else:
+                    values[key] = kind(raw)
+            except (KeyError, ValueError):
+                raise DataError(f"{path}:{lineno}: {key} must be {_TYPE_NAMES[kind]}, not {raw}") from None
     return values
 
 
@@ -165,12 +150,13 @@ def cmd_train(args):
 
 
 def _read_queries(path):
-    """TSV of base<TAB>tag rows (a third column, if present, is ignored)."""
+    """(line number, base, tag) for each base<TAB>tag row of a TSV (a third
+    column, if present, is ignored)."""
     queries = []
     for lineno, parts in corpus.read_rows(path):
         if len(parts) < 2:
             raise DataError(f"{path}:{lineno}: expected base<TAB>tag")
-        queries.append((parts[0], parts[1]))
+        queries.append((lineno, parts[0], parts[1]))
     return queries
 
 
@@ -185,6 +171,8 @@ def _detect_model_kind(path):
 def cmd_predict(args):
     if args.k < 1:
         raise DataError("k must be >= 1")
+    if args.beam is not None and args.beam < 1:
+        raise DataError("beam must be >= 1")
     queries = _read_queries(args.input)
     try:
         kind = _detect_model_kind(args.model)
@@ -195,12 +183,15 @@ def cmd_predict(args):
         except ValueError as e:  # corrupt, or not the model its sidecar describes
             raise ModelError(str(e)) from None
         if kind == "baseline":
-            rows = [(b, t, 1, loaded.predict(b, t), 0.0) for b, t in queries]
+            rows = [(b, t, 1, loaded.predict(b, t), 0.0) for _, b, t in queries]
         else:
             params, vocab, _ = loaded
+            for lineno, _, t in queries:
+                if t not in vocab.tag_to_id:
+                    raise DataError(f"{args.input}:{lineno}: unknown tag: {t!r}")
             beam = max(args.beam or params.config.beam, args.k)
             rows = []
-            for b, t in queries:
+            for _, b, t in queries:
                 for rank, (pred, logp) in enumerate(
                     seq2seq.predict_kbest(params, vocab, b, t, beam=beam, k=args.k), 1
                 ):
@@ -283,12 +274,11 @@ def build_parser():
     p.add_argument("--model", required=True, help="output model path")
     p.add_argument("--log", help="training log path (default: <model>.log)")
     p.add_argument("--config", help="flat key = value config file")
-    for key in ("emb", "hidden", "batch", "epochs", "beam", "seed", "window", "history"):
-        p.add_argument(f"--{key}", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--clip", type=float)
-    p.add_argument("--per-tag", dest="per_tag", action="store_const", const=True)
+    for key, kind in OPTIONS.items():
+        if kind is bool:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, action="store_const", const=True)
+        else:
+            p.add_argument(f"--{key}", type=kind)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="emit k-best predictions for base/tag queries")

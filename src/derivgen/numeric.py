@@ -293,14 +293,6 @@ def adadelta_step(params, state, clip_norm=None):
         g[...] = 0.0
 
 
-def uniform_init(shape, rng, scale=0.08):
-    return parameter(rng.uniform(-scale, scale, size=shape))
-
-
-def zeros_init(shape):
-    return parameter(np.zeros(shape))
-
-
 CHECKPOINT_VERSION = 1
 
 

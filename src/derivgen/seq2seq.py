@@ -14,6 +14,7 @@ epoch, runs many sources at once as one padded batch.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 
@@ -51,44 +52,45 @@ class Seq2SeqConfig:
 _GRUS = ("enc_f", "enc_b", "dec")
 
 
-def _gru_params(prefix, in_size, hidden, rng, scale):
-    """A GRU's gate blocks stacked in z, r, h order: ``<prefix>_W`` (3H, in),
-    ``<prefix>_U`` (3H, H) and ``<prefix>_b`` (3H,). The blocks are drawn gate
-    by gate, W before U, as the checkpoint's per-gate tensors are."""
-    w, u = zip(*[(rng.uniform(-scale, scale, size=(hidden, in_size)),
-                  rng.uniform(-scale, scale, size=(hidden, hidden))) for _ in range(3)])
-    return {f"{prefix}_W": nm.parameter(np.concatenate(w)),
-            f"{prefix}_U": nm.parameter(np.concatenate(u)),
-            f"{prefix}_b": nm.zeros_init((3 * hidden,))}
+def _layout(vocab_size, config):
+    """Name and shape of each checkpoint tensor, in checkpoint order, with each
+    GRU as its nine per-gate tensors ``<prefix>_{W,U,b}{z,r,h}``. Skipping the
+    biases, which start at zero, it is also the order of the initial draws."""
+    # sizes must be integers: a sidecar's 3.0 would pass the shape check
+    v, e, h = vocab_size, operator.index(config.emb), operator.index(config.hidden)
+    layout = {"src_emb": (v, e), "tgt_emb": (v, e), "att_W": (h, h), "att_U": (h, 2 * h),
+              "att_v": (h,), "init_W": (h, h), "init_b": (h,), "out_W1": (h, e + 3 * h),
+              "out_b1": (h,), "out_W2": (v, h), "out_b2": (v,)}
+    for prefix, n_in in zip(_GRUS, (e, e, e + 2 * h)):
+        for gate in "zrh":
+            layout.update({f"{prefix}_W{gate}": (h, n_in), f"{prefix}_U{gate}": (h, h),
+                           f"{prefix}_b{gate}": (h,)})
+    return layout
 
 
 class Seq2SeqParams:
-    """All learned tensors, addressable by name for checkpoints and Adadelta."""
+    """All learned tensors, addressable by name for checkpoints and Adadelta.
 
-    def __init__(self, vocab_size, config, rng=None):
+    ``arrays`` holds the values of every ``_layout`` tensor; without it, all
+    but the zero biases are drawn from U(-init_scale, init_scale) with
+    ``config.seed``, in layout order. Each GRU's gate blocks are stacked in
+    z, r, h order as ``<prefix>_W`` (3H, in), ``<prefix>_U`` (3H, H) and
+    ``<prefix>_b`` (3H,).
+    """
+
+    def __init__(self, vocab_size, config, arrays=None):
         self.vocab_size = vocab_size
         self.config = config
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        e, h = config.emb, config.hidden
-        s = config.init_scale
-        p = {
-            "src_emb": nm.uniform_init((vocab_size, e), rng, s),
-            "tgt_emb": nm.uniform_init((vocab_size, e), rng, s),
-            "att_W": nm.uniform_init((h, h), rng, s),
-            "att_U": nm.uniform_init((h, 2 * h), rng, s),
-            "att_v": nm.uniform_init((h,), rng, s),
-            "init_W": nm.uniform_init((h, h), rng, s),
-            "init_b": nm.zeros_init((h,)),
-            "out_W1": nm.uniform_init((h, e + h + 2 * h), rng, s),
-            "out_b1": nm.zeros_init((h,)),
-            "out_W2": nm.uniform_init((vocab_size, h), rng, s),
-            "out_b2": nm.zeros_init((vocab_size,)),
-        }
-        p.update(_gru_params("enc_f", e, h, rng, s))
-        p.update(_gru_params("enc_b", e, h, rng, s))
-        p.update(_gru_params("dec", e + 2 * h, h, rng, s))
-        self.tensors = p
+        layout = _layout(vocab_size, config)
+        if arrays is None:
+            rng, s = np.random.default_rng(config.seed), config.init_scale
+            arrays = {name: np.zeros(shape) if name.rpartition("_")[2].startswith("b")  # a bias
+                      else rng.uniform(-s, s, size=shape) for name, shape in layout.items()}
+        p = {name: arrays[name] for name in layout if name.rpartition("_")[0] not in _GRUS}
+        for prefix in _GRUS:
+            for m in "WUb":
+                p[f"{prefix}_{m}"] = np.concatenate([arrays[f"{prefix}_{m}{g}"] for g in "zrh"])
+        self.tensors = {name: nm.parameter(a) for name, a in p.items()}
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -718,20 +720,6 @@ def save_model(path, params, vocab, meta=None):
         fh.write("\n")
 
 
-class _NoDraws:
-    """Random-generator stand-in for building a model whose values are loaded.
-
-    ``Seq2SeqParams`` still gives the names and shapes that the loaded
-    tensors must have, but ``numpy.random`` is never imported: its extension
-    modules would add about 6 MB to the memory of a process that only
-    predicts.
-    """
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.zeros(size)
-
-
 def load_model(path):
     """Inverse of save_model.
 
@@ -747,18 +735,15 @@ def load_model(path):
             sidecar = json.load(fh)
         vocab = Vocab.from_dict(sidecar["vocab"])
         config = Seq2SeqConfig.from_dict(sidecar["config"])
-        params = Seq2SeqParams(len(vocab), config, rng=_NoDraws)
+        expected = _layout(len(vocab), config)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{sidecar_path}: unreadable model sidecar: "
                          f"{type(e).__name__}: {e}") from None
-    arrays = _checkpoint_arrays(params)
-    expected = {name: a.shape for name, a in arrays.items()}
     for name in sorted(expected.keys() | tensors.keys()):
         got = tensors[name].shape if name in tensors else "none (missing)"
         want = expected.get(name, "none (not a model tensor)")
         if got != want:
             raise ValueError(f"{path}: tensor {name} has shape {got}, but the vocab and "
                              f"config in {sidecar_path} give {want}")
-    for name, t in tensors.items():
-        arrays[name][...] = t.values
+    params = Seq2SeqParams(len(vocab), config, {name: t.values for name, t in tensors.items()})
     return params, vocab, sidecar.get("metrics", {})

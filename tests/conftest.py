@@ -9,8 +9,37 @@ from derivgen import numeric as nm
 from derivgen.seq2seq import EncodedSource, attend
 
 
+_oracle_columns = {}  # a -> {b: column of b}, for the last a only
+
+
 def levenshtein_oracle(a, b):
-    """Naive top-down recursion (memoized), independent of the DP version."""
+    """Prefix DP, independent of the suffix DP behind ``corpus.levenshtein``.
+
+    The column of ``b`` holds the distances from every prefix of ``a`` to
+    ``b`` and is built from the column of ``b[:-1]``. The columns of the last
+    ``a`` are kept, so a caller that runs over every ``b`` for one ``a``,
+    shorter strings first, builds one column per pair.
+    """
+    if a not in _oracle_columns:
+        _oracle_columns.clear()
+        _oracle_columns[a] = {"": list(range(len(a) + 1))}
+    columns = _oracle_columns[a]
+    missing = []
+    while b not in columns:  # back to the longest prefix with a column
+        missing.append(b)
+        b = b[:-1]
+    col = columns[b]
+    for b in reversed(missing):
+        prev, c = col, b[-1]
+        col = [len(b)]
+        for i, ch in enumerate(a):
+            col.append(min(col[i] + 1, prev[i + 1] + 1, prev[i] + (ch != c)))
+        columns[b] = col
+    return col[-1]
+
+
+def levenshtein_recursive(a, b):
+    """Naive top-down recursion (memoized), the reference for ``levenshtein_oracle``."""
 
     @lru_cache(maxsize=None)
     def d(i, j):
@@ -72,10 +101,13 @@ def all_strings(alphabet, max_len):
 class ReferencePerceptron:
     """The averaged perceptron on (feature, action)-keyed dicts.
 
-    One dict lookup per (feature, action) pair, and the same lazy averaging
-    arithmetic as ``baseline.PerceptronModel``; ``averaged`` maps each pair to
-    its nonzero averaged weight. ``action_set`` is sorted, and ties go to the
-    first action in it.
+    One dict lookup per (feature, action) pair, and averaging in its lazy
+    form: an update first credits the old weight for the ticks it survived,
+    and ``finalize`` divides the running totals by the number of ticks. It is
+    independent of the closed form in ``baseline.PerceptronModel``, and the
+    two agree bit for bit because every total is a whole number. ``averaged``
+    maps each pair to its nonzero averaged weight. ``action_set`` is sorted,
+    and ties go to the first action in it.
     """
 
     def __init__(self, action_set):

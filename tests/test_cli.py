@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from derivgen import numeric as nm
-from derivgen.cli import main
+from derivgen.cli import load_config_file, main
 from derivgen.corpus import Triple, Vocab, write_triples
 from derivgen.seq2seq import Seq2SeqConfig, Seq2SeqParams, load_model, save_model
 from derivgen.synthetic import generate
@@ -267,6 +267,13 @@ def _sidecar_disagrees(path, params, vocab):
     sidecar.write_text(json.dumps(meta), encoding="utf-8")
 
 
+def _float_size_in_sidecar(path, params, vocab):
+    sidecar = path.parent / (path.name + ".meta.json")
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    meta["config"]["hidden"] = 3.0  # the right size, but not an integer
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+
+
 def _corrupt_sidecar(path, params, vocab):
     (path.parent / (path.name + ".meta.json")).write_text("{not json", encoding="utf-8")
 
@@ -301,6 +308,7 @@ class TestModelFiles:
         (_missing_tensor, ("m.ckpt", "out_b2", "missing")),
         (_sidecar_disagrees, ("m.ckpt", "m.ckpt.meta.json")),
         (_corrupt_sidecar, ("m.ckpt.meta.json",)),
+        (_float_size_in_sidecar, ("m.ckpt.meta.json", "unreadable model sidecar")),
         (_stacked_name, ("m.ckpt", "enc_f_W", "not a model tensor")),
     ])
     def test_damaged_model_is_model_error(self, tmp_path, capsys, damage, names):
@@ -324,6 +332,25 @@ class TestModelFiles:
         for suffix in ("", ".meta.json"):
             with open(BENCH_CHECKPOINT + suffix, "rb") as fh:
                 assert (tmp_path / ("m.ckpt" + suffix)).read_bytes() == fh.read()
+
+
+class TestPredictArguments:
+    """Bad predict input is a data error (exit 2), found before any decoding."""
+
+    @pytest.mark.parametrize("beam", ["0", "-3"])
+    def test_beam_below_one(self, tmp_path, capsys, beam):
+        path, _, _ = TestModelFiles.saved(tmp_path)
+        queries = tmp_path / "q.tsv"
+        queries.write_text("ab\tT\n", encoding="utf-8")
+        assert run(["predict", "--model", str(path), "--input", str(queries), "--beam", beam]) == 2
+        assert "beam must be >= 1" in capsys.readouterr().err
+
+    def test_unknown_tag_names_the_line(self, tmp_path, capsys):
+        path, _, _ = TestModelFiles.saved(tmp_path)
+        assert TestModelFiles.predict(path, tmp_path, "ab\tT\n# a comment\nba\tNOPE\n") == 2
+        out, err = capsys.readouterr()
+        assert f"{tmp_path / 'q.tsv'}:3: unknown tag: 'NOPE'" in err
+        assert out == ""
 
 
 BASELINE_V1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "baseline_v1.model")
@@ -448,6 +475,14 @@ class TestConfigFile:
         assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
                     "--model", str(model), "--config", str(cfg)]) == 0
         assert "emb=300" in (tmp_path / "m.ckpt.log").read_text().splitlines()[0]
+
+
+    def test_each_value_takes_its_key_type(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 1\nrho = 0.5\nemb = 8\nper_tag = True\nclip = null\n", encoding="utf-8")
+        values = load_config_file(str(cfg))
+        assert values == {"eps": 1.0, "rho": 0.5, "emb": 8, "per_tag": True, "clip": None}
+        assert type(values["eps"]) is float
 
 
 class TestMissingFiles:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from derivgen.corpus import (
@@ -13,7 +15,7 @@ from derivgen.corpus import (
     write_triples,
 )
 
-from conftest import all_strings, levenshtein_oracle
+from conftest import all_strings, levenshtein_oracle, levenshtein_recursive
 
 
 class TestLevenshtein:
@@ -26,6 +28,16 @@ class TestLevenshtein:
 
     def test_corrode_corrosion_matches_oracle(self):
         assert levenshtein("corrode", "corrosion") == levenshtein_oracle("corrode", "corrosion")
+
+    def test_oracle_equals_recursion_on_a_sample(self):
+        # every pair up to length 3, and random longer pairs in no useful order
+        strings = all_strings("abc", 3)
+        pairs = [(a, b) for a in strings for b in strings]
+        rng = random.Random(0)
+        words = ["".join(rng.choice("abcd") for _ in range(rng.randint(0, 9))) for _ in range(60)]
+        pairs += [(rng.choice(words), rng.choice(words)) for _ in range(300)]
+        for a, b in pairs:
+            assert levenshtein_oracle(a, b) == levenshtein_recursive(a, b), (a, b)
 
     def test_symmetry_and_triangle_on_small_strings(self):
         strings = all_strings("ab", 4)

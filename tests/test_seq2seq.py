@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -656,3 +660,28 @@ class TestPersistence:
         q = predict_kbest(params, vocab, "ab", "T", beam=3, k=2)
         q2 = predict_kbest(params2, vocab2, "ab", "T", beam=3, k=2)
         assert q == q2
+
+    def test_fresh_tiny_checkpoint_is_pinned(self, tmp_path):
+        # the draw order of the initial values: a change to it changes the file
+        vocab = Vocab(list("abc"), ["T", "U"])
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, Seq2SeqParams(len(vocab), Seq2SeqConfig(emb=4, hidden=3, seed=0)), vocab)
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "23cfd2bdae9d0a69ed22142d3758a5aefe2c268506a620c5936a1b1e1a215b73"
+
+    def test_loading_and_predicting_leave_numpy_random_unimported(self):
+        # numpy.random adds about 6 MB to a process that only predicts
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import sys\n"
+            "from derivgen import seq2seq\n"
+            "params, vocab, _ = seq2seq.load_model(sys.argv[1])\n"
+            "assert seq2seq.predict_kbest(params, vocab, 'quick', 'ADVERB', beam=12, k=10)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code, os.path.join(root, "perfbench", "checkpoint", "s2s-emb32-h64.ckpt")],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
