@@ -308,8 +308,8 @@ class TestModelFiles:
         (_missing_tensor, ("m.ckpt", "out_b2", "missing")),
         (_sidecar_disagrees, ("m.ckpt", "m.ckpt.meta.json")),
         (_corrupt_sidecar, ("m.ckpt.meta.json",)),
-        (_float_size_in_sidecar, ("m.ckpt.meta.json", "unreadable model sidecar")),
         (_stacked_name, ("m.ckpt", "enc_f_W", "not a model tensor")),
+        (_float_size_in_sidecar, ("m.ckpt.meta.json", "unreadable model sidecar")),
     ])
     def test_damaged_model_is_model_error(self, tmp_path, capsys, damage, names):
         path, params, vocab = self.saved(tmp_path)
