@@ -189,13 +189,14 @@ def cmd_predict(args):
             for lineno, _, t in queries:
                 if t not in vocab.tag_to_id:
                     raise DataError(f"{args.input}:{lineno}: unknown tag: {t!r}")
-            beam = max(args.beam or params.config.beam, args.k)
+            beam, size = max(args.beam or params.config.beam, args.k), params.config.batch
             rows = []
-            for _, b, t in queries:
-                for rank, (pred, logp) in enumerate(
-                    seq2seq.predict_kbest(params, vocab, b, t, beam=beam, k=args.k), 1
-                ):
-                    rows.append((b, t, rank, pred, logp))
+            for start in range(0, len(queries), size):  # in batches, as dev scoring decodes
+                chunk = queries[start:start + size]
+                sources = [vocab.encode_source(b, t) for _, b, t in chunk]
+                kbest = seq2seq.beam_batch(sources, params, vocab, beam, args.k)
+                rows += [(b, t, rank, h.text(vocab), h.log_prob)
+                         for (_, b, t), hyps in zip(chunk, kbest) for rank, h in enumerate(hyps, 1)]
     except OSError as e:
         raise ModelError(str(e)) from None
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")

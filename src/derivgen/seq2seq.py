@@ -5,14 +5,16 @@ attention, tanh output MLP, trained by teacher-forced negative
 log-likelihood under Adadelta. The training loss scores a whole padded
 minibatch at once: each encoder direction, the teacher-forced decoder, and
 the output layer with the loss are single tape nodes with hand-written
-backward passes. Generation is beam search returning a k-best list of
-hypotheses; it runs on plain arrays, batched over the live beam, and builds
-no gradient tape. Greedy decoding, which scores the dev set after each
-epoch, runs many sources at once as one padded batch.
+backward passes. Generation is one beam search over a batch of sources,
+returning a k-best list of hypotheses for each; it runs on plain arrays,
+batched over the live beams of all the sources, and builds no gradient
+tape. Greedy decoding, which scores the dev set after each epoch, is that
+search at beam 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
@@ -190,13 +192,17 @@ def _attention_tanh(states, annot_proj, att_w):
 def _attention(states, annot_proj, hidden, att_w, att_v, neg=None):
     """Additive attention on arrays for states (..., H): the contexts and the
     weights over source positions. The source is one (n, 2H) ``hidden`` for
-    all the states, or one (..., n, 2H) per state; ``neg`` (..., n) is -inf
-    at padded source positions and 0 elsewhere."""
+    all the states, one (..., n, 2H) per state, or, for states (Q, W, H),
+    one (Q, n, 2H) per query shared by its W states; ``neg`` (..., n) is
+    -inf at padded source positions and 0 elsewhere."""
+    shared = hidden.ndim == states.ndim == 3  # one source per query
+    if shared:
+        annot_proj, neg = annot_proj[:, None], None if neg is None else neg[:, None]
     scores = _attention_tanh(states, annot_proj, att_w) @ att_v
     if neg is not None:
         scores += neg
     weights = nm.softmax_array(scores)
-    if hidden.ndim == 2:
+    if shared or hidden.ndim == 2:
         return weights @ hidden, weights
     return (weights[..., None, :] @ hidden)[..., 0, :], weights
 
@@ -274,12 +280,15 @@ def _check_source(source_ids, vocab_size):
 def encode(source_ids, params):
     """Run both encoder directions and precompute attention projections.
 
-    With an ``ArrayModel`` for ``params`` it runs on plain arrays instead.
+    With an ``ArrayModel`` for ``params`` it runs on plain arrays instead,
+    over a list of sources as one padded batch.
     """
-    _check_source(source_ids, params.vocab_size)
-    if isinstance(params, ArrayModel):
-        return params.encode(source_ids)
-    return _encode(params, source_ids)
+    if not isinstance(params, ArrayModel):
+        _check_source(source_ids, params.vocab_size)
+        return _encode(params, source_ids)
+    for ids in source_ids:
+        _check_source(ids, params.vocab_size)
+    return params.encode(*_pad(source_ids, 0))  # any id pads: the masks skip padding
 
 
 def _encode(params, ids, mask=None):
@@ -355,9 +364,10 @@ def decode_step(prev_token, state, enc, params, rows=None):
     On the tape it is a one-step ``_decoder_run`` and the output layer, so it
     computes what ``sequence_loss`` does for one step; the attention weights
     it returns are a constant that carries no gradient. With an
-    ``ArrayModel`` for ``params`` it is the batched step on plain arrays
-    instead: ``prev_token`` holds B token ids, ``state`` the states a step
-    returned and ``rows`` the B rows of them to advance (all by default).
+    ``ArrayModel`` for ``params`` it is ``ArrayModel.step`` on plain arrays
+    instead: ``prev_token`` holds (Q, W) token ids, ``state`` the states a
+    step returned and ``rows`` the (query, parent) index of the (Q, W) rows
+    of them to advance (all by default).
     """
     if isinstance(params, ArrayModel):
         return params.step(prev_token, state if rows is None else state[rows], enc)
@@ -466,8 +476,8 @@ class ArrayModel:
     before the parameters change sees the change. Each GRU's gate matrices
     are stacked, so one matmul projects its input for all three gates; the
     biases are folded into that projection. ``encode`` takes one source or a
-    padded batch of them, and ``step`` advances B decoder states at once,
-    against one source or against one row of a batch each.
+    padded batch of them, and ``step`` advances the decoder states of a
+    batch of queries at once, each against its own source.
     """
 
     def __init__(self, params):
@@ -494,19 +504,22 @@ class ArrayModel:
         return EncodedSource(hidden, _project(hidden, v["att_U"]), init_state, _neg(mask))
 
     def step(self, prev_tokens, states, enc):
-        """``decode_step`` for B hypotheses at once: token ids (B,) and decoder
-        states (B, H) in; next states (B, H), log-distributions (B, |V|) and
-        attention weights (B, n) out. ``enc`` is one source for all B, or a
-        batch of B sources, one per row."""
+        """``decode_step`` for W hypotheses of each of Q queries at once: token
+        ids (Q, W) and decoder states (Q, W, H) in; next states (Q, W, H),
+        log-distributions (Q, W, |V|) and attention weights (Q, W, n) out.
+        ``enc`` is a batch of Q sources, one per query."""
         v = self.v
-        emb = v["tgt_emb"][prev_tokens]
         context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"],
                                       enc.neg)
+        # the rest runs on the Q * W rows as plain matrices
+        emb, context = v["tgt_emb"][prev_tokens.ravel()], _rows(context)
         gx = np.concatenate([emb, context], axis=1) @ v["dec_W"].T + v["dec_b"]
-        next_states = _gru_cell(gx, states, v["dec_U"])[0]
+        next_states = _gru_cell(gx, _rows(states), v["dec_U"])[0]
         mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
                       + v["out_b1"])
-        return next_states, nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"]), weights
+        log_probs = nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
+        return (next_states.reshape(states.shape), log_probs.reshape(states.shape[:2] + (-1,)),
+                weights)
 
 
 @dataclass
@@ -519,116 +532,97 @@ class Hypothesis:
         return vocab.decode_output(self.tokens)
 
 
-def _rank(hyp):
-    """Sort key of (log_prob, tokens, ...) tuples: best first, then shorter, then by ids."""
-    return -hyp[0], len(hyp[1]), hyp[1]
+def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
+    """k-best decoding of a list of sources at once: for each, up to k
+    hypotheses that end at EOS or at its length cap, ``len(source) +
+    max_extra``, or ``max_len`` when given.
 
+    Each list is sorted by descending log-probability, ties broken by
+    shorter token sequence then lexicographic ids; no duplicates.
 
-def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
-    """k-best decoding; hypotheses end at EOS or at the length cap.
-
-    The returned list is sorted by descending log-probability, ties broken
-    by shorter token sequence then lexicographic ids; no duplicates.
-
-    Each step advances the whole live beam in one batched ``decode_step`` on
-    an ``ArrayModel``.
-    The search stops before the cap once k hypotheses have finished and no
+    The sources run as one padded batch on an ``ArrayModel``. Each step
+    advances the live hypotheses of every unfinished query in one batched
+    ``decode_step``, as (Q, W, H) states: up to ``beam`` rows per query,
+    padded to the widest with rows that score -inf, each query attending
+    over its own source. A query leaves the batch when it is done.
+    A query stops before its cap once k hypotheses have finished and no
     live one scores above the k-th of them: an extension never scores more
     than its prefix and is longer than every finished hypothesis, so it
     would rank below all k.
     """
     if not (beam >= k >= 1):
         raise ValueError(f"need beam >= k >= 1, got beam={beam}, k={k}")
-    if max_len is None:
-        max_len = len(source_ids) + params.config.max_extra
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    model = ArrayModel(params)
-    enc = encode(source_ids, model)
-    eos, size = vocab.eos_id, params.vocab_size
-    live = [(0.0, ())]
-    states, parents = enc.init_state[None, :], None
-    prev = np.array([vocab.bos_id])
-    done = []  # the best k finished hypotheses so far, in rank order
-    for _ in range(max_len):
-        states, log_probs, _ = decode_step(prev, states, enc, model, rows=parents)
-        scores = (np.array([lp for lp, _ in live])[:, None] + log_probs).ravel()
-        # Walking the ranked expansions below stops after `beam` live ones and
-        # meets at most one EOS expansion per parent, so it never passes the
-        # (beam + B)-th best score; all expansions tied with it are kept.
-        m = min(beam + len(live), scores.size)
-        cut = np.partition(scores, scores.size - m)[scores.size - m]
-        candidates = []
-        for i in np.flatnonzero(scores >= cut):
-            parent, tok = divmod(int(i), size)
-            candidates.append((float(scores[i]), live[parent][1] + (tok,), parent))
-        candidates.sort(key=_rank)
-        live, parents = [], []
-        for logp, tokens, parent in candidates:
-            if tokens[-1] == eos:
-                done.append((logp, tokens))
-            else:
-                live.append((logp, tokens))
-                parents.append(parent)
-                if len(live) >= beam:
-                    break
-        done = sorted(done, key=_rank)[:k]
-        if len(done) == k and live and live[0][0] <= done[-1][0]:
-            live = []  # exact early stop: no live hypothesis can enter the k-best
-        if not live:
-            break
-        prev = np.array([tokens[-1] for _, tokens in live])
-    # live hypotheses left at the cap compete with the finished ones
-    best = sorted(done + live, key=_rank)[:k]
-    return [Hypothesis(tokens, logp, tokens[-1] == eos) for logp, tokens in best]
-
-
-def greedy_batch(sources, params, vocab, max_len=None):
-    """Greedy decoding of a list of sources at once: for each, the hypothesis
-    that ``beam_search`` returns at beam 1.
-
-    The sources run as one padded batch through an ``ArrayModel``: the
-    reverse encoder run starts at each row's own last position and
-    attention skips padded positions. Each step advances every unfinished
-    row in one batched ``decode_step`` and takes its argmax, the lowest id
-    on a tie, as ``_rank`` orders them. A row stops at EOS or at its own
-    length cap, ``len(source) + max_extra``, or ``max_len`` when given.
-    """
     if not sources:
         return []
-    caps = np.array([len(s) + params.config.max_extra if max_len is None else max_len
-                     for s in sources])
-    if caps.min() < 1:
+    caps = [len(s) + params.config.max_extra if max_len is None else max_len for s in sources]
+    if min(caps) < 1:
         raise ValueError("max_len must be >= 1")
     model = ArrayModel(params)
-    for source_ids in sources:
-        _check_source(source_ids, model.vocab_size)
-    enc = model.encode(*_pad(sources, vocab.pad_id))
-    rows = np.arange(len(sources))  # the unfinished rows, as indices into sources
-    tokens, log_probs = [[] for _ in sources], np.zeros(len(sources))
-    states, keep = enc.init_state, None
-    prev = np.full(len(sources), vocab.bos_id)
-    length = 0
-    while len(rows):
-        length += 1
-        states, dist, _ = decode_step(prev, states, enc, model, rows=keep)
-        prev = dist.argmax(axis=1)
-        log_probs[rows] += dist[np.arange(len(rows)), prev]
-        for row, tok in zip(rows, prev):
-            tokens[row].append(int(tok))
-        going = (prev != vocab.eos_id) & (caps[rows] > length)
-        keep = None if going.all() else np.flatnonzero(going)
-        if keep is not None:  # drop the finished rows, source and all
-            rows, prev = rows[keep], prev[keep]
+    enc = encode(sources, model)
+    eos, size = vocab.eos_id, params.vocab_size
+    # A hypothesis is (-log_prob, length, tokens, parent row), so that tuple
+    # order is rank order: best first, then shorter, then by ids.
+    queries = list(range(len(sources)))  # the unfinished queries, as indices into sources
+    live = [[(0.0, 0, (), 0)]] * len(sources)  # their live hypotheses, in rank order
+    done = [[] for _ in sources]  # each query's best k finished so far; at its end, its k-best
+    states, rows = enc.init_state, np.arange(len(sources))[:, None]
+    prev, totals = np.full((len(sources), 1), vocab.bos_id), np.zeros((len(sources), 1))
+    for length in itertools.count(1):
+        states, log_probs, _ = decode_step(prev, states, enc, model, rows=rows)
+        scores = (totals[..., None] + log_probs).reshape(len(queries), -1)
+        # Walking a query's ranked expansions below stops after `beam` live
+        # ones and meets at most one EOS expansion per live hypothesis, so it
+        # never passes its (beam + live)-th best score; all expansions tied
+        # with it are kept. One partition finds every query's cut.
+        kth = [scores.shape[1] - min(beam + len(hyps), len(hyps) * size) for hyps in live]
+        cuts = np.partition(scores, sorted(set(kth)), axis=1)[np.arange(len(queries)), kth]
+        hit_query, hit = np.nonzero(scores >= cuts[:, None])
+        ends = np.searchsorted(hit_query, np.arange(1, len(queries) + 1)).tolist()
+        hits = list(zip(hit.tolist(), (-scores[hit_query, hit]).tolist()))
+        keep, going_on = [], []  # the queries that go on, as indices into queries; their beams
+        for i, (q, start, end) in enumerate(zip(queries, [0] + ends, ends)):
+            candidates = sorted((neg, length, live[i][j // size][2] + (j % size,), j // size)
+                                for j, neg in hits[start:end])
+            going = []
+            for hyp in candidates:
+                if hyp[2][-1] == eos:
+                    done[q].append(hyp)
+                else:
+                    going.append(hyp)
+                    if len(going) >= beam:
+                        break
+            done[q] = sorted(done[q])[:k]
+            if len(done[q]) == k and going and going[0][0] >= done[q][-1][0]:
+                going = []  # exact early stop: no live hypothesis can enter the k-best
+            if going and length < caps[q]:
+                keep.append(i)
+                going_on.append(going)
+            else:  # live hypotheses left at the cap compete with the finished ones
+                done[q] = sorted(done[q] + going)[:k]
+        if not keep:
+            break
+        live, width = going_on, max(map(len, going_on))
+        # padding rows start from row 0 with token 0 and never score
+        negs, _, seqs, parents = zip(*[hyp for hyps in live
+                                       for hyp in hyps + [(np.inf, 0, (0,), 0)] * (width - len(hyps))])
+        totals = -np.array(negs).reshape(-1, width)
+        prev = np.array([seq[-1] for seq in seqs]).reshape(-1, width)
+        rows = (np.array(keep)[:, None], np.array(parents).reshape(-1, width))
+        if len(keep) < len(queries):  # drop the finished queries, sources and all
+            queries = [queries[i] for i in keep]
             enc = EncodedSource(enc.hidden[keep], enc.annot_proj[keep], None,
                                 None if enc.neg is None else enc.neg[keep])
-    return [Hypothesis(tuple(t), float(lp), t[-1] == vocab.eos_id)
-            for t, lp in zip(tokens, log_probs)]
+    return [[Hypothesis(seq, -neg, seq[-1] == eos) for neg, _, seq, _ in hyps] for hyps in done]
+
+
+def beam_search(source_ids, params, vocab, beam=12, k=1, max_len=None):
+    """k-best decoding of one source: a one-query ``beam_batch``."""
+    return beam_batch([source_ids], params, vocab, beam, k, max_len)[0]
 
 
 def greedy_decode(source_ids, params, vocab, max_len=None):
-    """Greedy decoding of one source: a one-row ``greedy_batch``."""
-    return greedy_batch([source_ids], params, vocab, max_len)[0]
+    """Greedy decoding of one source: ``beam_search`` at beam 1."""
+    return beam_batch([source_ids], params, vocab, beam=1, max_len=max_len)[0][0]
 
 
 def predict_kbest(params, vocab, base, tag, beam=12, k=1):
@@ -639,13 +633,13 @@ def predict_kbest(params, vocab, base, tag, beam=12, k=1):
 
 
 def _dev_scores(params, vocab, dev):
-    """Greedy accuracy and mean edit distance on ``dev``, decoded as padded
-    batches of ``config.batch`` rows."""
+    """Greedy accuracy and mean edit distance on ``dev``, decoded at beam 1
+    in batches of ``config.batch`` queries."""
     size = params.config.batch
     preds = []
     for start in range(0, len(dev), size):
         sources = [vocab.encode_source(t.base, t.tag) for t in dev[start:start + size]]
-        preds += [h.text(vocab) for h in greedy_batch(sources, params, vocab)]
+        preds += [hyps[0].text(vocab) for hyps in beam_batch(sources, params, vocab, beam=1)]
     gold = [t.derived for t in dev]
     return _accuracy(preds, gold), _avg_edit(preds, gold)
 
@@ -725,8 +719,9 @@ def load_model(path):
 
     The tensors must have exactly the names and shapes that the sidecar's
     vocab and config give, with each GRU as its nine per-gate tensors, which
-    are stacked again; anything else, or a file that cannot be read, raises
-    ValueError naming the file.
+    are stacked again, and the config's decode settings must be integers:
+    ``beam`` and ``batch`` at least 1, ``max_extra`` at least 0. Anything
+    else, or a file that cannot be read, raises ValueError naming the file.
     """
     tensors, _ = nm.load_params(path)
     sidecar_path = path + ".meta.json"
@@ -736,6 +731,8 @@ def load_model(path):
         vocab = Vocab.from_dict(sidecar["vocab"])
         config = Seq2SeqConfig.from_dict(sidecar["config"])
         expected = _layout(len(vocab), config)
+        if min(map(operator.index, (config.beam, config.batch, config.max_extra + 1))) < 1:
+            raise ValueError("beam and batch must be integers >= 1, and max_extra one >= 0")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{sidecar_path}: unreadable model sidecar: "
                          f"{type(e).__name__}: {e}") from None

@@ -8,7 +8,7 @@ import pytest
 from derivgen import numeric as nm
 from derivgen.cli import load_config_file, main
 from derivgen.corpus import Triple, Vocab, write_triples
-from derivgen.seq2seq import Seq2SeqConfig, Seq2SeqParams, load_model, save_model
+from derivgen.seq2seq import Seq2SeqConfig, Seq2SeqParams, load_model, predict_kbest, save_model
 from derivgen.synthetic import generate
 
 BENCH_CHECKPOINT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -119,6 +119,22 @@ class TestTrainPredictEvaluate:
         for ranks in by_query.values():
             assert ranks == list(range(1, len(ranks) + 1))
             assert len(ranks) <= 3
+
+    def test_seq2seq_predict_in_batches_equals_per_query(self, tmp_path, toy_dataset):
+        # the model's batch is 3, so 8 queries decode in batches of 3, 3 and 2
+        splits, model = self.pipeline(tmp_path, toy_dataset, "seq2seq", ["--batch", "3"])
+        queries = make_queries(tmp_path, splits / "test.tsv")
+        rows = queries.read_text(encoding="utf-8").splitlines()[:8]
+        queries.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        assert run(["predict", "--model", str(model), "--input", str(queries),
+                    "--output", str(pred), "--k", "3"]) == 0
+        params, vocab, _ = load_model(str(model))
+        assert params.config.batch == 3
+        want = [f"{b}\t{t}\t{rank}\t{p}\t{logp:.6f}"
+                for b, t in (row.split("\t") for row in rows)
+                for rank, (p, logp) in enumerate(predict_kbest(params, vocab, b, t, beam=12, k=3), 1)]
+        assert pred.read_text(encoding="utf-8").splitlines() == want
 
     def test_log_header_echoes_recipe_defaults(self, tmp_path, toy_dataset):
         splits = tmp_path / "splits"
@@ -260,22 +276,39 @@ def _stacked_name(path, params, vocab):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _sidecar_disagrees(path, params, vocab):
+def _set_sidecar_config(path, **values):
     sidecar = path.parent / (path.name + ".meta.json")
     meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    meta["config"]["hidden"] = 5
+    meta["config"].update(values)
     sidecar.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _sidecar_disagrees(path, params, vocab):
+    _set_sidecar_config(path, hidden=5)
 
 
 def _float_size_in_sidecar(path, params, vocab):
-    sidecar = path.parent / (path.name + ".meta.json")
-    meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    meta["config"]["hidden"] = 3.0  # the right size, but not an integer
-    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    _set_sidecar_config(path, hidden=3.0)  # the right size, but not an integer
 
 
 def _corrupt_sidecar(path, params, vocab):
     (path.parent / (path.name + ".meta.json")).write_text("{not json", encoding="utf-8")
+
+
+def _fractional_beam(path, params, vocab):
+    _set_sidecar_config(path, beam=2.5)
+
+
+def _fractional_max_extra(path, params, vocab):
+    _set_sidecar_config(path, max_extra=1.5)
+
+
+def _negative_max_extra(path, params, vocab):
+    _set_sidecar_config(path, max_extra=-20)  # a length cap below 1 for every query
+
+
+def _zero_batch(path, params, vocab):
+    _set_sidecar_config(path, batch=0)  # predict decodes in batches of this many queries
 
 
 class TestModelFiles:
@@ -310,6 +343,10 @@ class TestModelFiles:
         (_corrupt_sidecar, ("m.ckpt.meta.json",)),
         (_stacked_name, ("m.ckpt", "enc_f_W", "not a model tensor")),
         (_float_size_in_sidecar, ("m.ckpt.meta.json", "unreadable model sidecar")),
+        (_fractional_beam, ("m.ckpt.meta.json", "unreadable model sidecar")),
+        (_fractional_max_extra, ("m.ckpt.meta.json", "unreadable model sidecar")),
+        (_negative_max_extra, ("m.ckpt.meta.json", "unreadable model sidecar")),
+        (_zero_batch, ("m.ckpt.meta.json", "unreadable model sidecar")),
     ])
     def test_damaged_model_is_model_error(self, tmp_path, capsys, damage, names):
         path, params, vocab = self.saved(tmp_path)

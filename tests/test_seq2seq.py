@@ -15,10 +15,10 @@ from derivgen.seq2seq import (
     Seq2SeqConfig,
     Seq2SeqParams,
     attend,
+    beam_batch,
     beam_search,
     decode_step,
     encode,
-    greedy_batch,
     greedy_decode,
     load_model,
     predict_kbest,
@@ -215,26 +215,46 @@ class TestArrayModel:
                         assert value.shape == want.shape
                         assert np.max(np.abs(value - want)) < 1e-12
 
+    @staticmethod
+    def assert_rows_match(params, vocab, queries, prev):
+        """One grouped step of W rows for each (base, tag) query against a
+        reference step per row on that query's own source: the rows start
+        from distinct states, the start state and the states after reference
+        steps on different tokens, and take the previous tokens ``prev``."""
+        sources = [vocab.encode_source(base, tag) for base, tag in queries]
+        refs = [reference_encode(src, params) for src in sources]
+        states = []
+        for enc, toks in zip(refs, prev):
+            states.append([enc.init_state])
+            for tok in (vocab.bos_id, vocab.char_id("a"), vocab.char_id("c"))[:len(toks) - 1]:
+                states[-1].append(reference_decode_step(tok, states[-1][-1], enc, params)[0])
+        model = ArrayModel(params)
+        got_states, got_log_probs, got_weights = model.step(
+            np.array(prev), np.array([[s.values for s in row] for row in states]),
+            encode(sources, model))
+        q, w = len(queries), len(prev[0])
+        assert got_states.shape == (q, w, 4) and got_log_probs.shape == (q, w, len(vocab))
+        assert got_weights.shape == (q, w, max(len(src) for src in sources))
+        for i, (enc, src) in enumerate(zip(refs, sources)):
+            for j, (tok, state) in enumerate(zip(prev[i], states[i])):
+                want = reference_decode_step(tok, state, enc, params)
+                for got, ref in zip((got_states, got_log_probs), want):
+                    assert np.max(np.abs(got[i, j] - ref.values)) < 1e-12
+                # attention puts no weight on the padding after a shorter source
+                assert np.max(np.abs(got_weights[i, j, :len(src)] - want[2].values)) < 1e-12
+                assert not got_weights[i, j, len(src):].any()
+
     def test_batched_step_matches_decode_step_row_by_row(self):
         for seed in range(5):
             params, vocab = self.random_model(seed)
-            src = vocab.encode_source("abca", "T")
-            enc = reference_encode(src, params)
-            # distinct states: the start state and the states after reference
-            # steps on different tokens
-            states = [enc.init_state]
-            for tok in (vocab.bos_id, vocab.char_id("a"), vocab.char_id("c")):
-                states.append(reference_decode_step(tok, states[-1], enc, params)[0])
-            prev = [vocab.bos_id, vocab.char_id("b"), vocab.char_id("c"), vocab.eos_id]
-            model = ArrayModel(params)
-            got_states, got_log_probs, got_weights = model.step(
-                np.array(prev), np.stack([s.values for s in states]), model.encode(src))
-            assert got_states.shape == (4, 4) and got_log_probs.shape == (4, len(vocab))
-            assert got_weights.shape == (4, len(src))
-            for i, (tok, state) in enumerate(zip(prev, states)):
-                want = reference_decode_step(tok, state, enc, params)
-                for got, ref in zip((got_states, got_log_probs, got_weights), want):
-                    assert np.max(np.abs(got[i] - ref.values)) < 1e-12
+            # one query of four rows
+            self.assert_rows_match(params, vocab, [("abca", "T")],
+                                   [[vocab.bos_id, vocab.char_id("b"), vocab.char_id("c"),
+                                     vocab.eos_id]])
+            # two queries on different sources, two rows each
+            self.assert_rows_match(params, vocab, [("abca", "T"), ("cb", "U")],
+                                   [[vocab.bos_id, vocab.char_id("b")],
+                                    [vocab.char_id("c"), vocab.eos_id]])
 
 
 def stepwise_loss(triple, params, vocab):
@@ -448,24 +468,100 @@ class TestBeamSearch:
         assert hyp.log_prob == pytest.approx(total, abs=1e-9)
 
 
-class TestGreedyBatch:
-    """``greedy_batch`` runs many sources as one padded batch; each row must
-    decode as ``beam_search`` at beam 1 does for its source alone."""
+class TestBeamBatch:
+    """``beam_batch`` runs the beams of many sources as one padded batch; each
+    query's k-best list must be what ``beam_search`` gives for its source
+    alone. ``TestGreedyBatch`` covers beam 1."""
 
     QUERIES = (("a", "T"), ("abcab", "U"), ("cc", "T"), ("bcabcabca", "U"), ("b", "U"))
+    KBEST = ((3, 2), (12, 10))
+
+    @staticmethod
+    def assert_per_query(sources, params, vocab, beam, k, max_len=None):
+        got = beam_batch(sources, params, vocab, beam=beam, k=k, max_len=max_len)
+        assert len(got) == len(sources)
+        for src, hyps in zip(sources, got):
+            want = beam_search(src, params, vocab, beam=beam, k=k, max_len=max_len)
+            assert [(h.tokens, h.finished) for h in hyps] == [(h.tokens, h.finished) for h in want]
+            for hyp, alone in zip(hyps, want):
+                assert hyp.log_prob == pytest.approx(alone.log_prob, rel=1e-12, abs=0.0)
+        return got
+
+    @classmethod
+    def sources(cls, vocab):
+        return [vocab.encode_source(base, tag) for base, tag in cls.QUERIES]
+
+    @pytest.mark.parametrize("beam, k", KBEST)
+    def test_ragged_batch(self, beam, k):
+        for seed in range(8):
+            params, vocab = TestArrayModel.random_model(seed)
+            self.assert_per_query(self.sources(vocab), params, vocab, beam, k)
+
+    @pytest.mark.parametrize("beam, k", KBEST)
+    def test_queries_stopping_early_next_to_queries_at_their_caps(self, beam, k, monkeypatch):
+        # with this model, alone, some queries stop before their caps and the
+        # others run to them
+        from derivgen import seq2seq
+
+        params, vocab = TestArrayModel.random_model(1)
+        steps, step = [], seq2seq.decode_step
+        monkeypatch.setattr(seq2seq, "decode_step", lambda *a, **kw: steps.append(1) or step(*a, **kw))
+        early = []
+        for src in self.sources(vocab):
+            steps.clear()
+            beam_search(src, params, vocab, beam=beam, k=k)
+            early.append(len(steps) < len(src) + params.config.max_extra)
+        assert any(early) and not all(early)
+        self.assert_per_query(self.sources(vocab), params, vocab, beam, k)
+
+    @pytest.mark.parametrize("beam, k", KBEST)
+    def test_explicit_max_len(self, beam, k):
+        for seed in (0, 3, 5):
+            params, vocab = TestArrayModel.random_model(seed)
+            for max_len in (1, 2, 4):
+                got = self.assert_per_query(self.sources(vocab), params, vocab, beam, k, max_len)
+                assert all(len(h.tokens) <= max_len for hyps in got for h in hyps)
+        with pytest.raises(ValueError, match="max_len"):
+            beam_batch(self.sources(vocab), params, vocab, beam=beam, k=k, max_len=0)
+
+    def test_empty_list_and_bad_source(self):
+        params, vocab = TestArrayModel.random_model(0)
+        for beam, k in self.KBEST:
+            assert beam_batch([], params, vocab, beam=beam, k=k) == []
+            with pytest.raises(ValueError, match="out of vocabulary range"):
+                beam_batch([vocab.encode_source("ab", "T"), [99]], params, vocab, beam=beam, k=k)
+
+    def test_builds_no_tape(self, monkeypatch):
+        params, vocab = TestArrayModel.random_model(1)
+        built = []
+        init = nm.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+        nm.constant(0.0)
+        assert len(built) == 1  # the count sees every tensor built
+        built.clear()
+        for beam, k in self.KBEST:
+            beam_batch(self.sources(vocab), params, vocab, beam=beam, k=k)
+        assert len(built) == 0
+
+
+class TestGreedyBatch:
+    """``beam_batch`` at beam 1 runs many sources as one padded batch; each
+    row must decode as ``beam_search`` at beam 1 does for its source alone."""
+
+    QUERIES = TestBeamBatch.QUERIES
 
     @staticmethod
     def assert_per_query(sources, params, vocab, max_len=None):
-        got = greedy_batch(sources, params, vocab, max_len=max_len)
-        assert len(got) == len(sources)
-        for src, hyp in zip(sources, got):
-            want = beam_search(src, params, vocab, beam=1, k=1, max_len=max_len)[0]
-            assert hyp.tokens == want.tokens and hyp.finished == want.finished
-            assert hyp.log_prob == pytest.approx(want.log_prob, rel=1e-12, abs=0.0)
-        return got
+        return [hyps[0] for hyps in TestBeamBatch.assert_per_query(sources, params, vocab, 1, 1,
+                                                                   max_len)]
 
     def sources(self, vocab):
-        return [vocab.encode_source(base, tag) for base, tag in self.QUERIES]
+        return TestBeamBatch.sources(vocab)
 
     def test_batch_of_one(self):
         for seed in range(4):
@@ -495,13 +591,13 @@ class TestGreedyBatch:
                 got = self.assert_per_query(self.sources(vocab), params, vocab, max_len=max_len)
                 assert all(len(h.tokens) <= max_len for h in got)
         with pytest.raises(ValueError, match="max_len"):
-            greedy_batch(self.sources(vocab), params, vocab, max_len=0)
+            beam_batch(self.sources(vocab), params, vocab, beam=1, max_len=0)
 
     def test_empty_list_and_bad_source(self):
         params, vocab = TestArrayModel.random_model(0)
-        assert greedy_batch([], params, vocab) == []
+        assert beam_batch([], params, vocab, beam=1) == []
         with pytest.raises(ValueError, match="out of vocabulary range"):
-            greedy_batch([vocab.encode_source("ab", "T"), [99]], params, vocab)
+            beam_batch([vocab.encode_source("ab", "T"), [99]], params, vocab, beam=1)
 
     def test_builds_no_tape(self, monkeypatch):
         params, vocab = TestArrayModel.random_model(3)
@@ -516,7 +612,7 @@ class TestGreedyBatch:
         nm.constant(0.0)
         assert len(built) == 1  # the count sees every tensor built
         built.clear()
-        greedy_batch(self.sources(vocab), params, vocab)
+        beam_batch(self.sources(vocab), params, vocab, beam=1)
         assert len(built) == 0
 
     def test_training_log_equals_per_query_dev_scoring(self, monkeypatch):
