@@ -138,9 +138,7 @@ def cmd_train(args):
         write_log(lines)
     else:
         opts = _merged_options(args, SEQ2SEQ_KEYS)
-        config = seq2seq.Seq2SeqConfig.from_dict(opts)
-        if min(config.emb, config.hidden, config.batch, config.epochs, config.beam) < 1:
-            raise DataError("invalid seq2seq hyperparameters")
+        config = seq2seq.Seq2SeqConfig.from_dict(opts)  # invalid values: ValueError, exit 2
         vocab = corpus.build_vocab(split.train)
         params, meta, lines = seq2seq.train(split, vocab, config)
         seq2seq.save_model(args.model, params, vocab, meta)
@@ -189,14 +187,11 @@ def cmd_predict(args):
             for lineno, _, t in queries:
                 if t not in vocab.tag_to_id:
                     raise DataError(f"{args.input}:{lineno}: unknown tag: {t!r}")
-            beam, size = max(args.beam or params.config.beam, args.k), params.config.batch
-            rows = []
-            for start in range(0, len(queries), size):  # in batches, as dev scoring decodes
-                chunk = queries[start:start + size]
-                sources = [vocab.encode_source(b, t) for _, b, t in chunk]
-                kbest = seq2seq.beam_batch(sources, params, vocab, beam, args.k)
-                rows += [(b, t, rank, h.text(vocab), h.log_prob)
-                         for (_, b, t), hyps in zip(chunk, kbest) for rank, h in enumerate(hyps, 1)]
+            sources = [vocab.encode_source(b, t) for _, b, t in queries]
+            kbest = seq2seq.beam_batch(sources, params, vocab,
+                                       max(args.beam or params.config.beam, args.k), args.k)
+            rows = [(b, t, rank, h.text(vocab), h.log_prob)
+                    for (_, b, t), hyps in zip(queries, kbest) for rank, h in enumerate(hyps, 1)]
     except OSError as e:
         raise ModelError(str(e)) from None
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
@@ -234,6 +229,8 @@ def read_predictions(path):
 
 
 def cmd_evaluate(args):
+    if args.k < 1:
+        raise DataError("k must be >= 1")
     preds = read_predictions(args.pred)
     gold = corpus.read_triples(args.gold)
     if len(preds) != len(gold):

@@ -129,15 +129,6 @@ def softmax(a):
     return Tensor(out, parents=(a,), backward=bw)
 
 
-def log_softmax(a):
-    out = log_softmax_array(a.values)
-
-    def bw(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
-
-    return Tensor(out, parents=(a,), backward=bw)
-
-
 def concat(tensors, axis=0):
     """Concatenate tensors along ``axis``."""
     sizes = [t.values.shape[axis] for t in tensors]
@@ -185,13 +176,6 @@ def pick(a, index):
         return (ga,)
 
     return Tensor(a.values[index], parents=(a,), backward=bw)
-
-
-def sum_all(a):
-    def bw(g):
-        return (np.full_like(a.values, float(g)),)
-
-    return Tensor(a.values.sum(), parents=(a,), backward=bw)
 
 
 def backward(loss):

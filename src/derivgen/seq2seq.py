@@ -42,6 +42,13 @@ class Seq2SeqConfig:
     max_extra: int = 10  # inference length cap: len(source) + max_extra
     stop_at_dev_acc: float | None = None
 
+    def __post_init__(self):
+        # sizes must be integers: a sidecar's 3.0 would pass the shape check
+        counts = (self.emb, self.hidden, self.batch, self.epochs, self.beam, self.max_extra + 1)
+        if min(map(operator.index, counts)) < 1 or not (self.clip is None or self.clip > 0):
+            raise ValueError("invalid seq2seq hyperparameters: emb, hidden, batch, epochs and "
+                             "beam must be integers >= 1, max_extra one >= 0, clip None or > 0")
+
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -58,8 +65,7 @@ def _layout(vocab_size, config):
     """Name and shape of each checkpoint tensor, in checkpoint order, with each
     GRU as its nine per-gate tensors ``<prefix>_{W,U,b}{z,r,h}``. Skipping the
     biases, which start at zero, it is also the order of the initial draws."""
-    # sizes must be integers: a sidecar's 3.0 would pass the shape check
-    v, e, h = vocab_size, operator.index(config.emb), operator.index(config.hidden)
+    v, e, h = vocab_size, config.emb, config.hidden
     layout = {"src_emb": (v, e), "tgt_emb": (v, e), "att_W": (h, h), "att_U": (h, 2 * h),
               "att_v": (h,), "init_W": (h, h), "init_b": (h,), "out_W1": (h, e + 3 * h),
               "out_b1": (h,), "out_W2": (v, h), "out_b2": (v,)}
@@ -540,11 +546,13 @@ def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
     Each list is sorted by descending log-probability, ties broken by
     shorter token sequence then lexicographic ids; no duplicates.
 
-    The sources run as one padded batch on an ``ArrayModel``. Each step
-    advances the live hypotheses of every unfinished query in one batched
-    ``decode_step``, as (Q, W, H) states: up to ``beam`` rows per query,
-    padded to the widest with rows that score -inf, each query attending
-    over its own source. A query leaves the batch when it is done.
+    The sources run in chunks of ``config.batch``, each as one padded batch
+    on an ``ArrayModel``. Each step advances the live hypotheses of every
+    unfinished query of the chunk in one batched ``decode_step``, as
+    (Q, W, H) states: up to ``beam`` rows per query, padded to the widest
+    with rows that score -inf, each query attending over its own source.
+    Each query then takes its candidates from the scores of its own rows
+    alone, and leaves the batch when it is done.
     A query stops before its cap once k hypotheses have finished and no
     live one scores above the k-th of them: an extension never scores more
     than its prefix and is longer than every finished hypothesis, so it
@@ -552,6 +560,10 @@ def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
     """
     if not (beam >= k >= 1):
         raise ValueError(f"need beam >= k >= 1, got beam={beam}, k={k}")
+    chunk = params.config.batch
+    if len(sources) > chunk:
+        return [hyps for start in range(0, len(sources), chunk)
+                for hyps in beam_batch(sources[start:start + chunk], params, vocab, beam, k, max_len)]
     if not sources:
         return []
     caps = [len(s) + params.config.max_extra if max_len is None else max_len for s in sources]
@@ -570,19 +582,17 @@ def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
     for length in itertools.count(1):
         states, log_probs, _ = decode_step(prev, states, enc, model, rows=rows)
         scores = (totals[..., None] + log_probs).reshape(len(queries), -1)
-        # Walking a query's ranked expansions below stops after `beam` live
-        # ones and meets at most one EOS expansion per live hypothesis, so it
-        # never passes its (beam + live)-th best score; all expansions tied
-        # with it are kept. One partition finds every query's cut.
-        kth = [scores.shape[1] - min(beam + len(hyps), len(hyps) * size) for hyps in live]
-        cuts = np.partition(scores, sorted(set(kth)), axis=1)[np.arange(len(queries)), kth]
-        hit_query, hit = np.nonzero(scores >= cuts[:, None])
-        ends = np.searchsorted(hit_query, np.arange(1, len(queries) + 1)).tolist()
-        hits = list(zip(hit.tolist(), (-scores[hit_query, hit]).tolist()))
         keep, going_on = [], []  # the queries that go on, as indices into queries; their beams
-        for i, (q, start, end) in enumerate(zip(queries, [0] + ends, ends)):
-            candidates = sorted((neg, length, live[i][j // size][2] + (j % size,), j // size)
-                                for j, neg in hits[start:end])
+        for i, (q, hyps) in enumerate(zip(queries, live)):
+            # Walking the ranked expansions below stops after `beam` live ones
+            # and meets at most one EOS expansion per live hypothesis, so it
+            # never passes the (beam + live)-th best score of the query's own
+            # rows; all expansions tied with it are kept.
+            own = scores[i, :len(hyps) * size]
+            at = len(own) - min(beam + len(hyps), len(own))
+            hit = np.flatnonzero(own >= np.partition(own, at)[at])
+            candidates = sorted((neg, length, hyps[j // size][2] + (j % size,), j // size)
+                                for j, neg in zip(hit.tolist(), (-own[hit]).tolist()))
             going = []
             for hyp in candidates:
                 if hyp[2][-1] == eos:
@@ -633,13 +643,9 @@ def predict_kbest(params, vocab, base, tag, beam=12, k=1):
 
 
 def _dev_scores(params, vocab, dev):
-    """Greedy accuracy and mean edit distance on ``dev``, decoded at beam 1
-    in batches of ``config.batch`` queries."""
-    size = params.config.batch
-    preds = []
-    for start in range(0, len(dev), size):
-        sources = [vocab.encode_source(t.base, t.tag) for t in dev[start:start + size]]
-        preds += [hyps[0].text(vocab) for hyps in beam_batch(sources, params, vocab, beam=1)]
+    """Greedy accuracy and mean edit distance on ``dev``, decoded at beam 1."""
+    sources = [vocab.encode_source(t.base, t.tag) for t in dev]
+    preds = [hyps[0].text(vocab) for hyps in beam_batch(sources, params, vocab, beam=1)]
     gold = [t.derived for t in dev]
     return _accuracy(preds, gold), _avg_edit(preds, gold)
 
@@ -719,9 +725,9 @@ def load_model(path):
 
     The tensors must have exactly the names and shapes that the sidecar's
     vocab and config give, with each GRU as its nine per-gate tensors, which
-    are stacked again, and the config's decode settings must be integers:
-    ``beam`` and ``batch`` at least 1, ``max_extra`` at least 0. Anything
-    else, or a file that cannot be read, raises ValueError naming the file.
+    are stacked again, and the config must be a valid ``Seq2SeqConfig``.
+    Anything else, or a file that cannot be read, raises ValueError naming
+    the file.
     """
     tensors, _ = nm.load_params(path)
     sidecar_path = path + ".meta.json"
@@ -731,8 +737,6 @@ def load_model(path):
         vocab = Vocab.from_dict(sidecar["vocab"])
         config = Seq2SeqConfig.from_dict(sidecar["config"])
         expected = _layout(len(vocab), config)
-        if min(map(operator.index, (config.beam, config.batch, config.max_extra + 1))) < 1:
-            raise ValueError("beam and batch must be integers >= 1, and max_extra one >= 0")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{sidecar_path}: unreadable model sidecar: "
                          f"{type(e).__name__}: {e}") from None

@@ -290,6 +290,19 @@ def sigmoid(a):
     return nm.Tensor(out, parents=(a,), backward=lambda g: (g * out * (1.0 - out),))
 
 
+def log_softmax(a):
+    """Log-softmax over the last axis."""
+    out = nm.log_softmax_array(a.values)
+    return nm.Tensor(out, parents=(a,),
+                     backward=lambda g: (g - np.exp(out) * g.sum(axis=-1, keepdims=True),))
+
+
+def sum_all(a):
+    """The sum of every entry, as a scalar tensor."""
+    return nm.Tensor(a.values.sum(), parents=(a,),
+                     backward=lambda g: (np.full_like(a.values, float(g)),))
+
+
 def stack(tensors):
     """Equal-length 1-D tensors as the rows of a matrix."""
     return nm.Tensor(np.stack([t.values for t in tensors]), parents=tuple(tensors),
@@ -351,7 +364,7 @@ def reference_decode_step(prev_token, state, enc, params):
     next_state = gru_step(params, "dec", nm.concat([emb, context]), state)
     features = nm.concat([emb, next_state, context])
     mlp = nm.tanh(nm.add(nm.matmul(params["out_W1"], features), params["out_b1"]))
-    log_dist = nm.log_softmax(nm.add(nm.matmul(params["out_W2"], mlp), params["out_b2"]))
+    log_dist = log_softmax(nm.add(nm.matmul(params["out_W2"], mlp), params["out_b2"]))
     return next_state, log_dist, weights
 
 

@@ -170,11 +170,27 @@ class TestTrainPredictEvaluate:
         assert report["avg_edit"] == 0.0
         assert all(row["f1"] == 1.0 for row in report["affix_f1"])
 
-    def test_invalid_hyperparameters_rejected(self, tmp_path, toy_dataset):
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_evaluate_k_below_one(self, tmp_path, capsys, k):
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold.write_text("ab\tT\tabx\n", encoding="utf-8")
+        pred.write_text("".join(f"ab\tT\t{r}\tab{c}\t0.0\n" for r, c in ((1, "y"), (2, "z"), (3, "x"))),
+                        encoding="utf-8")
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold), "--k", "3"]) == 0
+        assert "3-best" in capsys.readouterr().out
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold), "--k", k]) == 2
+        assert capsys.readouterr() == ("", "error: k must be >= 1\n")
+
+    def test_invalid_hyperparameters_rejected(self, tmp_path, toy_dataset, capsys):
         splits = tmp_path / "splits"
         run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
-        assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
-                    "--model", str(tmp_path / "m"), "--epochs", "0"]) == 2
+        # a negative clip would train on negated gradients, a zero one not at all
+        for bad in (["--epochs", "0"], ["--batch", "0"], ["--clip", "-1"], ["--clip", "0"]):
+            capsys.readouterr()
+            assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
+                        "--model", str(tmp_path / "m"), "--epochs", "1"] + bad) == 2
+            assert capsys.readouterr().err.startswith("error: invalid seq2seq hyperparameters")
+        assert not (tmp_path / "m").exists()
 
     def test_explicit_zero_is_a_value(self, tmp_path, toy_dataset, capsys):
         splits = tmp_path / "splits"

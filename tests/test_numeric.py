@@ -5,8 +5,8 @@ import pytest
 
 from derivgen import numeric as nm
 
-from conftest import (finite_difference, max_grad_rel_error, mul, reference_adadelta_step, row,
-                      sigmoid, stack, sub)
+from conftest import (finite_difference, log_softmax, max_grad_rel_error, mul,
+                      reference_adadelta_step, row, sigmoid, stack, sub, sum_all)
 
 rng = np.random.default_rng(12345)
 
@@ -85,7 +85,7 @@ class TestBackward:
         xt = nm.constant(x)
 
         def build():
-            return nm.sum_all(nm.matmul(W, xt))
+            return sum_all(nm.matmul(W, xt))
 
         nm.backward(build())
         assert np.allclose(W.grad, np.outer(np.ones(3), x))
@@ -96,7 +96,7 @@ class TestBackward:
     def test_unused_parameter_grad_exactly_zero(self):
         used = nm.parameter(rng.normal(size=3))
         unused = nm.parameter(rng.normal(size=3))
-        nm.backward(nm.sum_all(nm.tanh(used)))
+        nm.backward(sum_all(nm.tanh(used)))
         assert np.all(unused.grad == 0.0)
 
     def test_grads_accumulate_until_cleared(self):
@@ -112,7 +112,7 @@ class TestBackward:
     def test_shared_subexpression(self):
         p = nm.parameter(np.array([2.0]))
         # loss = p.p + p  -> dloss/dp = 2p + 1 = 5
-        loss = nm.add(nm.matmul(p, p), nm.sum_all(p))
+        loss = nm.add(nm.matmul(p, p), sum_all(p))
         nm.backward(loss)
         assert p.grad[0] == pytest.approx(5.0)
 
@@ -127,7 +127,7 @@ class TestBackward:
         def build():
             h = nm.tanh(nm.add(nm.matmul(W, v), b))
             g = sigmoid(nm.matmul(h, stack([row(table, 0), row(table, 2), b])))
-            return nm.pick(nm.log_softmax(nm.concat([g, mul(h, b), sub(h, g)])), 1)
+            return nm.pick(log_softmax(nm.concat([g, mul(h, b), sub(h, g)])), 1)
 
         err = max_grad_rel_error(build, {"W": W, "v": v, "b": b, "table": table})
         assert err < 1e-4
@@ -144,10 +144,10 @@ class TestBackward:
             x = nm.gather(table, [2, 0, 2])
             ones = nm.constant(np.ones((2, 5)))
             h = nm.tanh(nm.matmul(nm.concat([x, c], axis=1), nm.concat([W, ones], axis=0)))
-            lp = nm.log_softmax(h)
+            lp = log_softmax(h)
             rows = nm.add(nm.matmul(nm.pick(lp, 1), nm.pick(h, 2)),
-                          nm.sum_all(nm.pick(h, (0, slice(1, 4)))))
-            return nm.add(rows, nm.sum_all(nm.pick(lp, (np.arange(3), np.array([4, 0, 4])))))
+                          sum_all(nm.pick(h, (0, slice(1, 4)))))
+            return nm.add(rows, sum_all(nm.pick(lp, (np.arange(3), np.array([4, 0, 4])))))
 
         err = max_grad_rel_error(build, {"table": table, "W": W, "c": c})
         assert err < 1e-4
@@ -162,7 +162,7 @@ class TestBackward:
 
         def build():
             x = nm.concat([nm.gather(table, [[0, 3, 3], [2, 1, 0]]), c], axis=-1)
-            return nm.add(nm.sum_all(nm.tanh(nm.matmul(x, W))), nm.sum_all(nm.matmul(x, v)))
+            return nm.add(sum_all(nm.tanh(nm.matmul(x, W))), sum_all(nm.matmul(x, v)))
 
         assert nm.matmul(nm.constant(np.zeros((2, 3, 4))), W).values.shape == (2, 3, 5)
         err = max_grad_rel_error(build, {"table": table, "c": c, "W": W, "v": v})

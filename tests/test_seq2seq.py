@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -524,6 +525,18 @@ class TestBeamBatch:
         with pytest.raises(ValueError, match="max_len"):
             beam_batch(self.sources(vocab), params, vocab, beam=beam, k=k, max_len=0)
 
+    def test_more_sources_than_the_batch(self, monkeypatch):
+        from derivgen import seq2seq
+
+        params, vocab = TestArrayModel.random_model(2)
+        params.config = replace(params.config, batch=3)
+        sources = self.sources(vocab) + [vocab.encode_source(base, tag) for base, tag in
+                                         (("ab", "T"), ("cabcab", "U"), ("bb", "T"))]
+        chunks, enc = [], seq2seq.encode
+        monkeypatch.setattr(seq2seq, "encode", lambda src, p: chunks.append(len(src)) or enc(src, p))
+        self.assert_per_query(sources, params, vocab, 3, 2)
+        assert chunks[:3] == [3, 3, 2]  # then one per query alone
+
     def test_empty_list_and_bad_source(self):
         params, vocab = TestArrayModel.random_model(0)
         for beam, k in self.KBEST:
@@ -732,6 +745,12 @@ class TestTraining:
         losses = [float(line.split("loss=")[1].split()[0])
                   for line in log if line.startswith("epoch=")]
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("field, value", [("epochs", 0), ("batch", 0), ("emb", 0), ("beam", 0),
+                                              ("max_extra", -1), ("clip", -1.0), ("clip", 0.0)])
+    def test_invalid_config_refused(self, field, value):
+        with pytest.raises(ValueError, match="invalid seq2seq hyperparameters"):
+            Seq2SeqConfig(**{"emb": 4, "hidden": 3, field: value})
 
     def test_empty_train_errors(self):
         from derivgen.corpus import DatasetSplit
