@@ -13,7 +13,6 @@ from derivgen.corpus import build_vocab, filter_triples, split_dataset
 from derivgen.metrics import accuracy
 from derivgen.seq2seq import (
     Seq2SeqConfig,
-    attend,
     decode_step,
     encode,
     load_model,
@@ -47,11 +46,11 @@ for rank, (pred, logp) in enumerate(
 
 # Attention weights for the first decoder step: one weight per source
 # position (characters, then the tag token, then EOS).
-enc = encode(vocab.encode_source(t.base, t.tag), params)
-state, log_dist, alpha = decode_step(vocab.bos_id, enc.init_state, enc, params)
+enc = encode([vocab.encode_source(t.base, t.tag)], params)
+_, _, alpha = decode_step(np.array([[vocab.bos_id]]), enc.init_state[:, None], enc, params)
 labels = list(t.base) + [t.tag, "<eos>"]
 print("\nfirst-step attention:")
-for label, weight in zip(labels, alpha.values):
+for label, weight in zip(labels, alpha[0, 0]):
     print(f"  {label:<10} {weight:.3f}")
 
 with tempfile.TemporaryDirectory() as d:

@@ -432,29 +432,32 @@ def _read_header(path, line):
 
 
 def load_baseline(path):
-    """Inverse of save_baseline; a malformed file raises ValueError naming the
-    file, and the line where it can."""
-    with open(path, "r", encoding="utf-8") as fh:
-        opts = _read_header(path, fh.readline())
-        window, history_len = opts["window"], opts["history"]
-        columns, entries = {}, {}  # per tag: action -> column; (feature, column, weight) rows
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] == "!" and len(parts) == 3:
-                cols = columns.setdefault(parts[1], {})
-                cols.setdefault(_parse_action(parts[2], f"{path}:{lineno}"), len(cols))
-                entries.setdefault(parts[1], [])
-            elif len(parts) == 4:
-                tag, feat, action, w = parts
-                col = columns.get(tag, {}).get(_parse_action(action, f"{path}:{lineno}"))
-                if col is None:
-                    raise ValueError(f"{path}:{lineno}: action {action!r} is not in the action set of {tag!r}")
-                try:
-                    entries[tag].append((feat, col, float(w)))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: weight {w!r} is not a number") from None
-            else:
-                raise ValueError(f"{path}:{lineno}: malformed model line")
+    """Inverse of save_baseline; a malformed file, or one that is not UTF-8
+    text, raises ValueError naming the file, and the line where it can."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            opts = _read_header(path, fh.readline())
+            window, history_len = opts["window"], opts["history"]
+            columns, entries = {}, {}  # per tag: action -> column; (feature, column, weight) rows
+            for lineno, line in enumerate(fh, 2):
+                parts = line.rstrip("\n").split("\t")
+                if parts[0] == "!" and len(parts) == 3:
+                    cols = columns.setdefault(parts[1], {})
+                    cols.setdefault(_parse_action(parts[2], f"{path}:{lineno}"), len(cols))
+                    entries.setdefault(parts[1], [])
+                elif len(parts) == 4:
+                    tag, feat, action, w = parts
+                    col = columns.get(tag, {}).get(_parse_action(action, f"{path}:{lineno}"))
+                    if col is None:
+                        raise ValueError(f"{path}:{lineno}: action {action!r} is not in the action set of {tag!r}")
+                    try:
+                        entries[tag].append((feat, col, float(w)))
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: weight {w!r} is not a number") from None
+                else:
+                    raise ValueError(f"{path}:{lineno}: malformed model line")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
     models = {}
     for tag, cols in columns.items():
         feature_ids = {}

@@ -159,9 +159,10 @@ def _read_queries(path):
 
 
 def _detect_model_kind(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    """The kind of a model file from its first bytes; the loader checks the rest."""
+    with open(path, "rb") as fh:
         head = fh.read(64)
-    if head.startswith(bl.MODEL_FORMAT):
+    if head.startswith(bl.MODEL_FORMAT.encode()):
         return "baseline"
     return "seq2seq"
 
@@ -205,9 +206,13 @@ def cmd_predict(args):
 
 
 def read_predictions(path):
-    """Prediction TSV back into per-query ranked lists, input order preserved."""
-    by_query = {}
-    order = []
+    """Prediction TSV back into per-query ranked lists, input order preserved.
+
+    A query's rows are consecutive. A row starts a new query when its
+    (base, tag) differs from the previous row's, or when its rank is already
+    in the current query, so a query that the input repeats stays two
+    queries."""
+    queries = []  # (key, {rank: prediction})
     for lineno, parts in corpus.read_rows(path):
         if len(parts) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields")
@@ -216,16 +221,10 @@ def read_predictions(path):
             rank = int(rank)
         except ValueError:
             raise DataError(f"{path}:{lineno}: rank {rank!r} is not an integer") from None
-        key = (base, tag)
-        if key not in by_query:
-            by_query[key] = []
-            order.append(key)
-        by_query[key].append((rank, pred))
-    result = []
-    for key in order:
-        ranked = sorted(by_query[key])
-        result.append((key, [p for _, p in ranked]))
-    return result
+        if not queries or queries[-1][0] != (base, tag) or rank in queries[-1][1]:
+            queries.append(((base, tag), {}))
+        queries[-1][1][rank] = pred
+    return [(key, [ranked[r] for r in sorted(ranked)]) for key, ranked in queries]
 
 
 def cmd_evaluate(args):

@@ -120,15 +120,6 @@ def log_softmax_array(x):
     return shifted - logz
 
 
-def softmax(a):
-    out = softmax_array(a.values)
-
-    def bw(g):
-        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
-
-    return Tensor(out, parents=(a,), backward=bw)
-
-
 def concat(tensors, axis=0):
     """Concatenate tensors along ``axis``."""
     sizes = [t.values.shape[axis] for t in tensors]

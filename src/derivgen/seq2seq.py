@@ -84,6 +84,10 @@ class Seq2SeqParams:
     ``config.seed``, in layout order. Each GRU's gate blocks are stacked in
     z, r, h order as ``<prefix>_W`` (3H, in), ``<prefix>_U`` (3H, H) and
     ``<prefix>_b`` (3H,).
+
+    The ``arrays`` attribute maps each name to its tensor's own storage, for
+    inference on plain arrays; Adadelta and ``restore`` write in place, so
+    it never goes stale.
     """
 
     def __init__(self, vocab_size, config, arrays=None):
@@ -99,6 +103,7 @@ class Seq2SeqParams:
             for m in "WUb":
                 p[f"{prefix}_{m}"] = np.concatenate([arrays[f"{prefix}_{m}{g}"] for g in "zrh"])
         self.tensors = {name: nm.parameter(a) for name, a in p.items()}
+        self.arrays = {name: t.values for name, t in self.tensors.items()}
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -258,7 +263,8 @@ def _gru_layer(params, prefix, x, mask=None, reverse=False):
 
 @dataclass
 class EncodedSource:
-    """Encoder output; Tensors from ``encode``, plain arrays from ``ArrayModel.encode``.
+    """Encoder output: plain arrays from ``encode``, or Tensors from ``_encode``
+    on the tape.
 
     A padded batch of B sources puts a leading (B,) axis on each field, and
     its ``neg`` marks the padding; for one source, or a batch without
@@ -283,25 +289,37 @@ def _check_source(source_ids, vocab_size):
             raise ValueError(f"encode: id {i} out of vocabulary range [0, {vocab_size})")
 
 
-def encode(source_ids, params):
-    """Run both encoder directions and precompute attention projections.
-
-    With an ``ArrayModel`` for ``params`` it runs on plain arrays instead,
-    over a list of sources as one padded batch.
-    """
-    if not isinstance(params, ArrayModel):
-        _check_source(source_ids, params.vocab_size)
-        return _encode(params, source_ids)
-    for ids in source_ids:
+def encode(sources, params):
+    """Run both encoder directions over a list of sources as one padded
+    batch, on plain arrays, and precompute the attention projections; each
+    field gets a leading (B,) axis. One matmul projects each direction's
+    inputs. As on the tape, only the reverse run needs the padding mask, so
+    it starts at each source's own last position, and ``neg`` carries the
+    mask to attention."""
+    if not len(sources):
+        raise ValueError("encode: empty list of sources")
+    for ids in sources:
         _check_source(ids, params.vocab_size)
-    return params.encode(*_pad(source_ids, 0))  # any id pads: the masks skip padding
+    ids, mask = _pad(sources, 0)  # any id pads: the masks skip padding
+    v = params.arrays
+    x = v["src_emb"][ids]
+
+    def run(prefix, reverse=False):
+        gx = _project(x, v[f"{prefix}_W"]) + v[f"{prefix}_b"]
+        return _gru_run(gx, v[f"{prefix}_U"], mask if reverse else None, reverse)[0]
+
+    fwd, bwd = run("enc_f"), run("enc_b", reverse=True)
+    hidden = np.concatenate([fwd, bwd], axis=-1)
+    init_state = np.tanh(bwd[..., 0, :] @ v["init_W"].T + v["init_b"])
+    return EncodedSource(hidden, _project(hidden, v["att_U"]), init_state, _neg(mask))
 
 
 def _encode(params, ids, mask=None):
-    """``encode`` on the tape for source ids (..., n), where ``mask`` (B, n),
-    if given, marks each row's own positions; each field gets the leading
-    axes of ``ids``. Only the reverse run needs the mask: padding follows a
-    row's own positions, so the forward run reaches them first."""
+    """The encoder on the tape, for training, over source ids (..., n),
+    where ``mask`` (B, n), if given, marks each row's own positions; each
+    field gets the leading axes of ``ids``. Only the reverse run needs the
+    mask: padding follows a row's own positions, so the forward run reaches
+    them first."""
     x = nm.gather(params["src_emb"], ids)
     fwd = _gru_layer(params, "enc_f", x)
     bwd = _gru_layer(params, "enc_b", x, mask, reverse=True)
@@ -316,22 +334,12 @@ def _transpose(t):
     return nm.Tensor(t.values.T, parents=(t,), backward=lambda g: (g.T,))
 
 
-def attend(decoder_state_prev, enc, params):
-    """Additive attention: weights over source positions and their context sum."""
-    ws = nm.matmul(params["att_W"], decoder_state_prev)
-    scores = nm.matmul(nm.tanh(nm.add(enc.annot_proj, ws)), params["att_v"])
-    weights = nm.softmax(scores)
-    context = nm.matmul(weights, enc.hidden)
-    return context, weights
-
-
-def _output_layer(params, emb, dec, rows=slice(None), targets=None):
+def _output_layer(params, emb, dec, rows, targets):
     """The output MLP on the features [emb; state; context] of the steps
     ``rows`` (flat indices over the leading axes) of ``emb`` (..., e) and of
-    the decoder rows ``dec`` (..., 3H), as one tape node: the (N, |V|)
-    log-distributions, or with ``targets`` (N,) their summed negative
-    log-likelihood. The backward pass gathers the features again rather than
-    keeping them."""
+    the decoder rows ``dec`` (..., 3H), as one tape node: the summed
+    negative log-likelihood of ``targets`` (N,). The backward pass gathers
+    the features again rather than keeping them."""
     w1, b1, w2, b2 = (params[name] for name in ("out_W1", "out_b1", "out_W2", "out_b2"))
     n_emb = emb.values.shape[-1]
     w1_emb, w1_dec = w1.values[:, :n_emb], w1.values[:, n_emb:]
@@ -342,17 +350,12 @@ def _output_layer(params, emb, dec, rows=slice(None), targets=None):
     e, d = features()
     mlp = np.tanh(e @ w1_emb.T + d @ w1_dec.T + b1.values)
     log_probs = nm.log_softmax_array(mlp @ w2.values.T + b2.values)
-    if targets is not None:
-        picked = (np.arange(len(targets)), targets)
-        nll = -log_probs[picked].sum()
+    picked = (np.arange(len(targets)), targets)
 
     def bw(g):
-        if targets is None:
-            d_logits = g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
-        else:
-            d_logits = np.exp(log_probs)
-            d_logits[picked] -= 1.0
-            d_logits *= g
+        d_logits = np.exp(log_probs)
+        d_logits[picked] -= 1.0
+        d_logits *= g
         d_pre = (d_logits @ w2.values) * (1.0 - mlp * mlp)
         d_emb, d_dec = np.zeros_like(emb.values), np.zeros_like(dec.values)
         _rows(d_emb)[rows] = d_pre @ w1_emb
@@ -360,28 +363,34 @@ def _output_layer(params, emb, dec, rows=slice(None), targets=None):
         return (d_emb, d_dec, _weight_grad(d_pre, features()), d_pre.sum(axis=0),
                 d_logits.T @ mlp, d_logits.sum(axis=0))
 
-    return nm.Tensor(log_probs if targets is None else nll, backward=bw,
-                     parents=(emb, dec, w1, b1, w2, b2))
+    return nm.Tensor(-log_probs[picked].sum(), backward=bw, parents=(emb, dec, w1, b1, w2, b2))
 
 
-def decode_step(prev_token, state, enc, params, rows=None):
-    """One decoder step: attention, GRU update, log-distribution over outputs.
+def decode_step(prev_tokens, states, enc, params, rows=None):
+    """One decoder step on plain arrays, for W hypotheses of each of Q
+    queries at once: attention, GRU update, log-distribution over outputs.
 
-    On the tape it is a one-step ``_decoder_run`` and the output layer, so it
-    computes what ``sequence_loss`` does for one step; the attention weights
-    it returns are a constant that carries no gradient. With an
-    ``ArrayModel`` for ``params`` it is ``ArrayModel.step`` on plain arrays
-    instead: ``prev_token`` holds (Q, W) token ids, ``state`` the states a
-    step returned and ``rows`` the (query, parent) index of the (Q, W) rows
-    of them to advance (all by default).
+    ``prev_tokens`` holds (Q, W) token ids and ``states`` the decoder states
+    that ``encode`` or a step returned; ``rows``, the (query, parent) index
+    of the (Q, W) rows of them to advance, defaults to all of them, (Q, W,
+    H). ``enc`` is a batch of Q sources, one per query. Returns the next
+    states (Q, W, H), the log-distributions (Q, W, |V|) and the attention
+    weights (Q, W, n).
     """
-    if isinstance(params, ArrayModel):
-        return params.step(prev_token, state if rows is None else state[rows], enc)
-    emb = nm.gather(params["tgt_emb"], [prev_token])
-    out, weights = _decoder_run(params, enc, emb, state)
-    log_probs = _output_layer(params, emb, out)
-    next_state = nm.pick(out, (0, slice(params.config.hidden)))
-    return next_state, nm.pick(log_probs, 0), nm.constant(weights[0])
+    if rows is not None:
+        states = states[rows]
+    v = params.arrays
+    context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"],
+                                  enc.neg)
+    # the rest runs on the Q * W rows as plain matrices
+    emb, context = v["tgt_emb"][prev_tokens.ravel()], _rows(context)
+    gx = np.concatenate([emb, context], axis=1) @ v["dec_W"].T + v["dec_b"]
+    next_states = _gru_cell(gx, _rows(states), v["dec_U"])[0]
+    mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
+                  + v["out_b1"])
+    log_probs = nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
+    return (next_states.reshape(states.shape), log_probs.reshape(states.shape[:2] + (-1,)),
+            weights)
 
 
 def _decoder_run(params, enc, emb, start):
@@ -475,59 +484,6 @@ def sequence_loss(triples, params, vocab):
     return _output_layer(params, emb, states, rows, np.concatenate(targets))
 
 
-class ArrayModel:
-    """The parameters as plain arrays, for decoding without a gradient tape.
-
-    The arrays are the parameters' own storage, not copies, so a model built
-    before the parameters change sees the change. Each GRU's gate matrices
-    are stacked, so one matmul projects its input for all three gates; the
-    biases are folded into that projection. ``encode`` takes one source or a
-    padded batch of them, and ``step`` advances the decoder states of a
-    batch of queries at once, each against its own source.
-    """
-
-    def __init__(self, params):
-        self.vocab_size = params.vocab_size
-        self.v = {name: t.values for name, t in params.tensors.items()}
-
-    def _run(self, prefix, x, mask=None, reverse=False):
-        v = self.v
-        return _gru_run(_project(x, v[f"{prefix}_W"]) + v[f"{prefix}_b"], v[f"{prefix}_U"],
-                        mask, reverse)[0]
-
-    def encode(self, source_ids, mask=None):
-        """``encode`` on arrays, one input matmul per direction, for the ids
-        (n,) of one source or (B, n) of a padded batch, where ``mask`` (B, n),
-        if given, marks each row's own positions. As on the tape, only the
-        reverse run needs the mask, so it starts at each row's own last
-        position, and ``neg`` carries it to attention."""
-        v = self.v
-        x = v["src_emb"][np.asarray(source_ids, dtype=np.intp)]
-        fwd = self._run("enc_f", x)
-        bwd = self._run("enc_b", x, mask, reverse=True)
-        hidden = np.concatenate([fwd, bwd], axis=-1)
-        init_state = np.tanh(bwd[..., 0, :] @ v["init_W"].T + v["init_b"])
-        return EncodedSource(hidden, _project(hidden, v["att_U"]), init_state, _neg(mask))
-
-    def step(self, prev_tokens, states, enc):
-        """``decode_step`` for W hypotheses of each of Q queries at once: token
-        ids (Q, W) and decoder states (Q, W, H) in; next states (Q, W, H),
-        log-distributions (Q, W, |V|) and attention weights (Q, W, n) out.
-        ``enc`` is a batch of Q sources, one per query."""
-        v = self.v
-        context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"],
-                                      enc.neg)
-        # the rest runs on the Q * W rows as plain matrices
-        emb, context = v["tgt_emb"][prev_tokens.ravel()], _rows(context)
-        gx = np.concatenate([emb, context], axis=1) @ v["dec_W"].T + v["dec_b"]
-        next_states = _gru_cell(gx, _rows(states), v["dec_U"])[0]
-        mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
-                      + v["out_b1"])
-        log_probs = nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
-        return (next_states.reshape(states.shape), log_probs.reshape(states.shape[:2] + (-1,)),
-                weights)
-
-
 @dataclass
 class Hypothesis:
     tokens: tuple          # output ids, ending in EOS iff it terminated
@@ -547,7 +503,7 @@ def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
     shorter token sequence then lexicographic ids; no duplicates.
 
     The sources run in chunks of ``config.batch``, each as one padded batch
-    on an ``ArrayModel``. Each step advances the live hypotheses of every
+    on plain arrays. Each step advances the live hypotheses of every
     unfinished query of the chunk in one batched ``decode_step``, as
     (Q, W, H) states: up to ``beam`` rows per query, padded to the widest
     with rows that score -inf, each query attending over its own source.
@@ -569,8 +525,7 @@ def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
     caps = [len(s) + params.config.max_extra if max_len is None else max_len for s in sources]
     if min(caps) < 1:
         raise ValueError("max_len must be >= 1")
-    model = ArrayModel(params)
-    enc = encode(sources, model)
+    enc = encode(sources, params)
     eos, size = vocab.eos_id, params.vocab_size
     # A hypothesis is (-log_prob, length, tokens, parent row), so that tuple
     # order is rank order: best first, then shorter, then by ids.
@@ -580,7 +535,7 @@ def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
     states, rows = enc.init_state, np.arange(len(sources))[:, None]
     prev, totals = np.full((len(sources), 1), vocab.bos_id), np.zeros((len(sources), 1))
     for length in itertools.count(1):
-        states, log_probs, _ = decode_step(prev, states, enc, model, rows=rows)
+        states, log_probs, _ = decode_step(prev, states, enc, params, rows=rows)
         scores = (totals[..., None] + log_probs).reshape(len(queries), -1)
         keep, going_on = [], []  # the queries that go on, as indices into queries; their beams
         for i, (q, hyps) in enumerate(zip(queries, live)):

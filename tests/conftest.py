@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from derivgen import numeric as nm
-from derivgen.seq2seq import EncodedSource, attend
+from derivgen.seq2seq import EncodedSource
 
 
 _oracle_columns = {}  # a -> {b: column of b}, for the last a only
@@ -271,7 +271,8 @@ def reference_adadelta_step(params, state, clip_norm=None):
 # --- The op-by-op seq2seq reference -----------------------------------------
 # The encoder and the decoder step built one elementary op per tape node,
 # from tensor ops that the program itself no longer needs. The program's
-# fused tape nodes and its tape-free ``ArrayModel`` are checked against it.
+# fused tape nodes, used in training, and its tape-free ``encode`` and
+# ``decode_step``, used in decoding, are checked against it.
 
 
 def sub(a, b):
@@ -288,6 +289,13 @@ def mul(a, b):
 def sigmoid(a):
     out = nm.sigmoid_array(a.values)
     return nm.Tensor(out, parents=(a,), backward=lambda g: (g * out * (1.0 - out),))
+
+
+def softmax(a):
+    """Softmax over the last axis."""
+    out = nm.softmax_array(a.values)
+    return nm.Tensor(out, parents=(a,),
+                     backward=lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 
 def log_softmax(a):
@@ -339,8 +347,8 @@ def gru_step(params, prefix, x, h):
 
 
 def reference_encode(source_ids, params):
-    """``seq2seq.encode`` with one ``gru_step`` per source position and
-    direction."""
+    """``seq2seq.encode`` of one source with one ``gru_step`` per source
+    position and direction."""
     embs = [row(params["src_emb"], i) for i in source_ids]
     runs = []
     for prefix, xs in (("enc_f", embs), ("enc_b", embs[::-1])):
@@ -356,9 +364,19 @@ def reference_encode(source_ids, params):
     return EncodedSource(stack(rows), annot_proj, init)
 
 
+def attend(decoder_state_prev, enc, params):
+    """Additive attention: weights over source positions and their context sum."""
+    ws = nm.matmul(params["att_W"], decoder_state_prev)
+    scores = nm.matmul(nm.tanh(nm.add(enc.annot_proj, ws)), params["att_v"])
+    weights = softmax(scores)
+    context = nm.matmul(weights, enc.hidden)
+    return context, weights
+
+
 def reference_decode_step(prev_token, state, enc, params):
-    """``seq2seq.decode_step`` on the tape, built op by op: the next state,
-    the log-distribution over outputs and the attention weights."""
+    """``seq2seq.decode_step`` of one hypothesis on the tape, built op by op:
+    the next state, the log-distribution over outputs and the attention
+    weights."""
     emb = row(params["tgt_emb"], prev_token)
     context, weights = attend(state, enc, params)
     next_state = gru_step(params, "dec", nm.concat([emb, context]), state)

@@ -263,6 +263,24 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert f"{pred}:1:" in err and "'x'" in err
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_repeated_query_is_evaluated_twice(self, tmp_path, toy_dataset, capsys, k):
+        # predict writes one block of rows per query line, repeats included
+        splits, model = tmp_path / "splits", tmp_path / "m.ckpt"
+        run(["split", "--data", str(toy_dataset), "--seed", "0", "--out-dir", str(splits)])
+        assert run(["train", "--kind", "seq2seq", "--splits", str(splits), "--model", str(model),
+                    "--emb", "4", "--hidden", "4", "--epochs", "1"]) == 0
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("abc\tADVERB\tabcly\nabc\tADVERB\tabcly\nab\tAGENT\tabber\n",
+                        encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        assert run(["predict", "--model", str(model), "--input", str(gold), "--output", str(pred),
+                    "--k", k]) == 0
+        assert len(pred.read_text(encoding="utf-8").splitlines()) == 3 * int(k)
+        capsys.readouterr()
+        assert run(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 def _corrupt_checkpoint(path, params, vocab):
     text = path.read_text(encoding="utf-8")
@@ -327,6 +345,10 @@ def _zero_batch(path, params, vocab):
     _set_sidecar_config(path, batch=0)  # predict decodes in batches of this many queries
 
 
+def _not_utf8_checkpoint(path, params, vocab):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
 class TestModelFiles:
     """A seq2seq model file that cannot be read, or does not fit the model its
     sidecar describes, is a model error (exit 3) naming the file."""
@@ -363,6 +385,7 @@ class TestModelFiles:
         (_fractional_max_extra, ("m.ckpt.meta.json", "unreadable model sidecar")),
         (_negative_max_extra, ("m.ckpt.meta.json", "unreadable model sidecar")),
         (_zero_batch, ("m.ckpt.meta.json", "unreadable model sidecar")),
+        (_not_utf8_checkpoint, ("m.ckpt", "unreadable checkpoint")),
     ])
     def test_damaged_model_is_model_error(self, tmp_path, capsys, damage, names):
         path, params, vocab = self.saved(tmp_path)
@@ -434,6 +457,10 @@ def _unknown_action_kind(lines):
     lines[1] = lines[1].replace("copy:", "copy2:")
 
 
+def _not_utf8_after_header(lines):
+    lines[1] = "\udcff" + lines[1]  # written as the byte 0xff
+
+
 class TestBaselineModelFiles:
     """A baseline model file with a bad header or weight is a model error
     (exit 3) naming the file, and the line where it can."""
@@ -445,13 +472,14 @@ class TestBaselineModelFiles:
         (_non_numeric_weight, (":11:", "'abc'")),  # the file's first weight line
         (_unknown_action_kind, (":2:", "'copy2:'")),
         (_non_integer_header_value, (":1:", "window=x")),
+        (_not_utf8_after_header, ("not UTF-8 text",)),
     ])
     def test_damaged_baseline_is_model_error(self, tmp_path, capsys, damage, names):
         with open(BASELINE_V1, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         damage(lines)
         model = tmp_path / "m.model"
-        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         queries = tmp_path / "q.tsv"
         queries.write_text("take\tAGENT\n", encoding="utf-8")
         assert run(["predict", "--model", str(model), "--input", str(queries)]) == 3

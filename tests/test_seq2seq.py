@@ -11,11 +11,11 @@ import pytest
 from derivgen import numeric as nm
 from derivgen.corpus import Triple, Vocab, build_vocab, split_dataset
 from derivgen.seq2seq import (
-    ArrayModel,
     EncodedSource,
     Seq2SeqConfig,
     Seq2SeqParams,
-    attend,
+    _attention,
+    _encode,
     beam_batch,
     beam_search,
     decode_step,
@@ -41,35 +41,51 @@ def micro_params(seed=0, emb=4, hidden=3, vocab=None):
     return Seq2SeqParams(len(vocab), cfg), vocab
 
 
+def first_step(enc, params, vocab):
+    """The first decoder step of a one-source ``enc``: the next state, the
+    log-distribution and the attention weights."""
+    out = decode_step(np.array([[vocab.bos_id]]), enc.init_state[:, None], enc, params)
+    return tuple(a[0, 0] for a in out)
+
+
+def attention_at_start(enc, params):
+    """The attention of a one-source ``enc``'s start state: the context and
+    the weights over source positions."""
+    v = params.arrays
+    context, weights = _attention(enc.init_state, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"])
+    return context[0], weights[0]
+
+
 class TestEncode:
     def test_shapes(self):
         params, vocab = micro_params()
-        enc = encode(vocab.encode_source("ab", "T"), params)
-        assert enc.hidden.values.shape == (4, 6)  # 4 tokens, 2 * hidden
-        assert enc.annot_proj.values.shape == (4, 3)
-        assert enc.init_state.values.shape == (3,)
+        enc = encode([vocab.encode_source("ab", "T")], params)
+        assert enc.hidden.shape == (1, 4, 6)  # 4 tokens, 2 * hidden
+        assert enc.annot_proj.shape == (1, 4, 3)
+        assert enc.init_state.shape == (1, 3)
 
     def test_length_one_input(self):
         params, vocab = micro_params(emb=300, hidden=100)
-        enc = encode([vocab.char_id("a")], params)
-        assert enc.hidden.values.shape == (1, 200)
+        enc = encode([[vocab.char_id("a")]], params)
+        assert enc.hidden.shape == (1, 1, 200)
 
     def test_out_of_range_id(self):
         params, vocab = micro_params()
         with pytest.raises(ValueError, match="out of vocabulary range"):
-            encode([99], params)
+            encode([[99]], params)
 
     def test_empty_errors(self):
         params, _ = micro_params()
-        with pytest.raises(ValueError, match="empty"):
-            encode([], params)
+        for sources in ([[]], []):
+            with pytest.raises(ValueError, match="empty"):
+                encode(sources, params)
 
     def test_zero_weights_give_zero_states(self):
         params, vocab = micro_params()
         for t in params.tensors.values():
             t.values[...] = 0.0
-        enc = encode(vocab.encode_source("ab", "T"), params)
-        assert np.all(enc.hidden.values == 0.0)
+        enc = encode([vocab.encode_source("ab", "T")], params)
+        assert np.all(enc.hidden == 0.0)
 
     def test_direction_symmetry_with_shared_weights(self):
         # with forward weights copied into the backward cell, the forward
@@ -80,8 +96,8 @@ class TestEncode:
             params.tensors[f"enc_b_{m}"].values[...] = params.tensors[f"enc_f_{m}"].values
         ids = vocab.encode_source("ab", "T")
         h = params.config.hidden
-        fwd_of_reversed = encode(list(reversed(ids)), params).hidden.values[:, :h]
-        bwd = encode(ids, params).hidden.values[:, h:]
+        fwd_of_reversed = encode([list(reversed(ids))], params).hidden[0, :, :h]
+        bwd = encode([ids], params).hidden[0, :, h:]
         assert np.allclose(fwd_of_reversed, bwd[::-1])
         assert not np.allclose(bwd, bwd[::-1])  # the mirroring is not vacuous
 
@@ -89,56 +105,56 @@ class TestEncode:
 class TestAttend:
     def test_single_position(self):
         params, vocab = micro_params()
-        enc = encode([vocab.char_id("a")], params)
-        context, weights = attend(enc.init_state, enc, params)
-        assert np.allclose(weights.values, [1.0])
-        assert np.allclose(context.values, enc.hidden.values[0])
+        enc = encode([[vocab.char_id("a")]], params)
+        context, weights = attention_at_start(enc, params)
+        assert np.allclose(weights, [1.0])
+        assert np.allclose(context, enc.hidden[0, 0])
 
     def test_identical_states_uniform(self):
         params, vocab = micro_params()
-        one = encode([vocab.char_id("a")], params)
-        h = one.hidden.values[0]
-        hidden = nm.constant(np.stack([h, h, h]))
-        annot = nm.matmul(hidden, nm.constant(params["att_U"].values.T))
-        enc = EncodedSource(hidden, annot, one.init_state)
-        _, weights = attend(enc.init_state, enc, params)
-        assert np.allclose(weights.values, 1.0 / 3.0)
+        one = encode([[vocab.char_id("a")]], params)
+        h = one.hidden[0, 0]
+        hidden = np.stack([h, h, h])[None]
+        enc = EncodedSource(hidden, hidden @ params.arrays["att_U"].T, one.init_state)
+        _, weights = attention_at_start(enc, params)
+        assert np.allclose(weights, 1.0 / 3.0)
 
     def test_context_is_weighted_sum(self):
         # recomputed with direct numpy arithmetic, independent of the op graph
         params, vocab = micro_params(seed=9)
-        enc = encode(vocab.encode_source("aba", "T"), params)
-        s = enc.init_state.values
-        H = enc.hidden.values
+        enc = encode([vocab.encode_source("aba", "T")], params)
+        s = enc.init_state[0]
+        H = enc.hidden[0]
         scores = np.tanh(params["att_U"].values @ H.T + (params["att_W"].values @ s)[:, None]).T @ params["att_v"].values
         e = np.exp(scores - scores.max())
         alpha = e / e.sum()
         context_ref = alpha @ H
-        context, weights = attend(enc.init_state, enc, params)
-        assert np.allclose(weights.values, alpha, atol=1e-12)
-        assert np.allclose(context.values, context_ref, atol=1e-12)
+        context, weights = attention_at_start(enc, params)
+        assert np.allclose(weights, alpha, atol=1e-12)
+        assert np.allclose(context, context_ref, atol=1e-12)
+        assert np.allclose(first_step(enc, params, vocab)[2], alpha, atol=1e-12)
 
     def test_simplex(self):
         params, vocab = micro_params(seed=4)
-        enc = encode(vocab.encode_source("abab", "T"), params)
-        _, weights = attend(enc.init_state, enc, params)
-        assert np.all(weights.values >= 0)
-        assert abs(weights.values.sum() - 1.0) < 1e-9
+        enc = encode([vocab.encode_source("abab", "T")], params)
+        _, weights = attention_at_start(enc, params)
+        assert np.all(weights >= 0)
+        assert abs(weights.sum() - 1.0) < 1e-9
 
 
 class TestDecodeStep:
     def test_log_dist_normalized(self):
         params, vocab = micro_params(seed=5)
-        enc = encode(vocab.encode_source("ab", "T"), params)
-        _, log_dist, _ = decode_step(vocab.bos_id, enc.init_state, enc, params)
-        assert np.all(log_dist.values <= 0.0)
-        assert abs(np.exp(log_dist.values).sum() - 1.0) < 1e-9
+        enc = encode([vocab.encode_source("ab", "T")], params)
+        _, log_dist, _ = first_step(enc, params, vocab)
+        assert np.all(log_dist <= 0.0)
+        assert abs(np.exp(log_dist).sum() - 1.0) < 1e-9
 
     def test_deterministic(self):
         params, vocab = micro_params(seed=6)
-        enc = encode(vocab.encode_source("ab", "T"), params)
-        a = decode_step(vocab.bos_id, enc.init_state, enc, params)[1].values
-        b = decode_step(vocab.bos_id, enc.init_state, enc, params)[1].values
+        enc = encode([vocab.encode_source("ab", "T")], params)
+        a = first_step(enc, params, vocab)[1]
+        b = first_step(enc, params, vocab)[1]
         assert np.array_equal(a, b)
 
     def test_loss_equals_forced_chain(self):
@@ -158,38 +174,26 @@ class TestDecodeStep:
         assert loss == pytest.approx(total, abs=1e-9)
 
     def test_chain_matches_reference_chain(self):
-        # a chain of tape steps against the op-by-op reference chain: the
-        # states, log-distributions and attention weights of every step, and
-        # the gradients of the chained loss
+        # a chain of array steps against the op-by-op reference chain: the
+        # states, log-distributions and attention weights of every step
+        # (``TestSequenceLoss`` holds the training tape's gradients to the
+        # reference chain's)
         for seed in range(3):
             params, vocab = TestArrayModel.random_model(seed)
             src = vocab.encode_source("abca", "U")
-            grads = []
-            for enc_fn, step_fn in ((encode, decode_step), (reference_encode, reference_decode_step)):
-                params.clear_grads()
-                enc = enc_fn(src, params)
-                state, prev, loss, steps = enc.init_state, vocab.bos_id, None, []
-                for y in vocab.encode_target("cab"):
-                    state, log_dist, weights = step_fn(prev, state, enc, params)
-                    steps.append((state.values, log_dist.values, weights.values))
-                    term = nm.pick(log_dist, y)
-                    loss = term if loss is None else nm.add(loss, term)
-                    prev = y
-                nm.backward(loss)
-                grads.append((steps, {n: t.grad.copy() for n, t in params.tensors.items()}))
-            (got_steps, got), (want_steps, want) = grads
-            for got_step, want_step in zip(got_steps, want_steps):
-                for g, w in zip(got_step, want_step):
-                    assert g.shape == w.shape
-                    assert np.max(np.abs(g - w)) < 1e-12
-            for name, g in want.items():
-                assert np.any(g != 0.0), name
-                assert np.max(np.abs(got[name] - g)) <= 1e-10 * max(1.0, np.max(np.abs(g))), name
-            params.clear_grads()
+            enc, ref = encode([src], params), reference_encode(src, params)
+            states, ref_state, prev = enc.init_state[:, None], ref.init_state, vocab.bos_id
+            for y in vocab.encode_target("cab"):
+                got = decode_step(np.array([[prev]]), states, enc, params)
+                want = reference_decode_step(prev, ref_state, ref, params)
+                for g, w in zip(got, want):
+                    assert g[0, 0].shape == w.values.shape
+                    assert np.max(np.abs(g[0, 0] - w.values)) < 1e-12
+                states, ref_state, prev = got[0], want[0], y
 
 
 class TestArrayModel:
-    """The tape-free inference path against the op-by-op reference."""
+    """The tape-free ``encode`` and ``decode_step`` against the op-by-op reference."""
 
     @staticmethod
     def random_model(seed):
@@ -208,11 +212,11 @@ class TestArrayModel:
             for base, tag in (("a", "T"), ("abcab", "U"), ("cc", "T")):
                 src = vocab.encode_source(base, tag)
                 ref = reference_encode(src, params)
-                tape = encode(src, params)
-                got = ArrayModel(params).encode(src)
+                tape = _encode(params, src)
+                got = encode([src], params)
                 for field in ("hidden", "annot_proj", "init_state"):
                     want = getattr(ref, field).values
-                    for value in (getattr(got, field), getattr(tape, field).values):
+                    for value in (getattr(got, field)[0], getattr(tape, field).values):
                         assert value.shape == want.shape
                         assert np.max(np.abs(value - want)) < 1e-12
 
@@ -229,10 +233,9 @@ class TestArrayModel:
             states.append([enc.init_state])
             for tok in (vocab.bos_id, vocab.char_id("a"), vocab.char_id("c"))[:len(toks) - 1]:
                 states[-1].append(reference_decode_step(tok, states[-1][-1], enc, params)[0])
-        model = ArrayModel(params)
-        got_states, got_log_probs, got_weights = model.step(
+        got_states, got_log_probs, got_weights = decode_step(
             np.array(prev), np.array([[s.values for s in row] for row in states]),
-            encode(sources, model))
+            encode(sources, params), params)
         q, w = len(queries), len(prev[0])
         assert got_states.shape == (q, w, 4) and got_log_probs.shape == (q, w, len(vocab))
         assert got_weights.shape == (q, w, max(len(src) for src in sources))
@@ -389,12 +392,12 @@ class TestBeamSearch:
         params, vocab = micro_params(seed=13)
         src = vocab.encode_source("ab", "T")
         hyp = beam_search(src, params, vocab, beam=1, k=1)[0]
-        enc = encode(src, params)
+        enc = reference_encode(src, params)
         state = enc.init_state
         prev = vocab.bos_id
         tokens = []
         for _ in range(len(src) + params.config.max_extra):
-            state, log_dist, _ = decode_step(prev, state, enc, params)
+            state, log_dist, _ = reference_decode_step(prev, state, enc, params)
             prev = int(np.argmax(log_dist.values))
             tokens.append(prev)
             if prev == vocab.eos_id:
@@ -452,18 +455,19 @@ class TestBeamSearch:
         built.clear()
         predict_kbest(params, vocab, "ab", "T", beam=4, k=3)
         greedy_decode(vocab.encode_source("ba", "T"), params, vocab)
+        first_step(encode([vocab.encode_source("ab", "T")], params), params, vocab)
         assert len(built) == 0
 
     def test_hypothesis_log_prob_is_chain_sum(self):
         params, vocab = micro_params(seed=16)
         src = vocab.encode_source("ab", "T")
         hyp = beam_search(src, params, vocab, beam=3, k=1)[0]
-        enc = encode(src, params)
+        enc = reference_encode(src, params)
         state = enc.init_state
         prev = vocab.bos_id
         total = 0.0
         for tok in hyp.tokens:
-            state, log_dist, _ = decode_step(prev, state, enc, params)
+            state, log_dist, _ = reference_decode_step(prev, state, enc, params)
             total += float(log_dist.values[tok])
             prev = tok
         assert hyp.log_prob == pytest.approx(total, abs=1e-9)
