@@ -1,14 +1,38 @@
 """Peek inside the numeric core: tape autodiff and Adadelta.
 
 Fits a tiny logistic regressor on the package's tape, and cross-checks
-one gradient by finite differences. The two ops the model itself never
-needs, a log-softmax and a sum, are written here as ``Tensor`` nodes with
-their own backward closures.
+one gradient by finite differences. The package's tape has only ``scale``
+and ``gather`` as generic ops, since the sequence model's layers are fused
+nodes of their own, so the ops this regressor needs are written here as
+``Tensor`` nodes with their own backward closures.
 """
 
 import numpy as np
 
 from derivgen import numeric as nm
+
+
+def affine(x, w, b):
+    """``x @ w + b`` for rows ``x`` (N, k), weights ``w`` (k, m) and a bias ``b`` (m,)."""
+    return nm.Tensor(x.values @ w.values + b.values, parents=(x, w, b),
+                     backward=lambda g: (g @ w.values.T, x.values.T @ g, g.sum(axis=0)))
+
+
+def columns(a, b):
+    """The columns of ``a`` then those of ``b``."""
+    n = a.values.shape[1]
+    return nm.Tensor(np.concatenate([a.values, b.values], axis=1), parents=(a, b),
+                     backward=lambda g: (g[:, :n], g[:, n:]))
+
+
+def pick(a, index):
+    """The entries ``a.values[index]`` for a tuple of index arrays."""
+    def bw(g):
+        ga = np.zeros_like(a.values)
+        ga[index] = g
+        return (ga,)
+
+    return nm.Tensor(a.values[index], parents=(a,), backward=bw)
 
 
 def log_softmax(a):
@@ -40,9 +64,9 @@ labels = (np.arange(len(y)), y.astype(int))
 def loss_fn():
     # One logit per example; the cross-entropy is the stable log-softmax of
     # [0, z], picked at each example's label.
-    z = nm.add(nm.matmul(inputs, w), b)
-    log_probs = log_softmax(nm.concat([zeros, z], axis=1))
-    return nm.scale(sum_all(nm.pick(log_probs, labels)), -1.0 / len(y))
+    z = affine(inputs, w, b)
+    log_probs = log_softmax(columns(zeros, z))
+    return nm.scale(sum_all(pick(log_probs, labels)), -1.0 / len(y))
 
 
 # One gradient entry vs central finite differences.

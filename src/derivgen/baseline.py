@@ -34,6 +34,7 @@ Action = tuple
 BOUNDARY_LEFT = "<w>"
 BOUNDARY_RIGHT = "</w>"
 HISTORY_PAD = "<h>"
+MAX_CONSECUTIVE_INS = 5  # INS is legal only below this many insertions in a row
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,6 @@ class PerceptronModel:
 
     window: int = 3
     history_len: int = 2
-    max_consecutive_ins: int = 5
     action_set: list = field(default_factory=list)
     feature_ids: dict = field(default_factory=dict)  # feature string -> row
     weights: np.ndarray = None
@@ -231,7 +231,7 @@ class PerceptronModel:
         over many states (one mask row each).
         """
         # "* 1" turns a bool, or an array of them, into an index
-        return self._legal[(position < source_len) * 1, (consecutive_ins < self.max_consecutive_ins) * 1]
+        return self._legal[(position < source_len) * 1, (consecutive_ins < MAX_CONSECUTIVE_INS) * 1]
 
 
 def _advance(action, source, pos, out, inserts):
@@ -432,8 +432,9 @@ def _read_header(path, line):
 
 
 def load_baseline(path):
-    """Inverse of save_baseline; a malformed file, or one that is not UTF-8
-    text, raises ValueError naming the file, and the line where it can."""
+    """Inverse of save_baseline; a malformed file, one that is not UTF-8
+    text, or a shared model without its '*' section, raises ValueError
+    naming the file, and the line where it can."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             opts = _read_header(path, fh.readline())
@@ -458,6 +459,8 @@ def load_baseline(path):
                     raise ValueError(f"{path}:{lineno}: malformed model line")
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text: {e}") from None
+    if not opts["per_tag"] and "*" not in columns:
+        raise ValueError(f"{path}: a shared model (per_tag=0) has no '*' section")
     models = {}
     for tag, cols in columns.items():
         feature_ids = {}

@@ -206,12 +206,23 @@ def build_vocab(train):
 
 def read_rows(path):
     """``(line number, tab-separated fields)`` for each line of a TSV file that
-    is neither blank nor a '#' comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line and not line.startswith("#"):
-                yield lineno, line.split("\t")
+    is neither blank nor a '#' comment. A file that is not UTF-8 text raises
+    ValueError naming the file and its first line that is not."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if line and not line.startswith("#"):
+                    yield lineno, line.split("\t")
+    except UnicodeDecodeError:
+        # the text reader decodes whole chunks: find the line by itself
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ValueError(f"{path}:{lineno}: not UTF-8 text: {e}") from None
+        raise
 
 
 def read_triples(path):

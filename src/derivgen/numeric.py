@@ -3,8 +3,9 @@
 Everything runs on numpy float64 arrays. A ``Tensor`` wraps one array and,
 when produced by an op, remembers its parents and a backward closure, so
 ``backward`` on a scalar loss can push gradients down to the parameters by
-a reverse topological walk. No broadcasting beyond what the sequence model
-needs, no GPU, no other optimizers.
+a reverse topological walk. The tape's only generic ops are ``scale`` and
+``gather``: the sequence model's layers are fused nodes of their own. No
+broadcasting, no GPU, no other optimizers.
 """
 
 from __future__ import annotations
@@ -52,52 +53,9 @@ def constant(values):
     return Tensor(values)
 
 
-def _unbroadcast(grad, shape):
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
-def add(a, b):
-    try:
-        out = a.values + b.values
-    except ValueError:
-        raise ValueError(f"add: incompatible shapes {a.values.shape} and {b.values.shape}") from None
-    return Tensor(
-        out,
-        parents=(a, b),
-        backward=lambda g: (_unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)),
-    )
-
-
 def scale(a, c):
     c = float(c)
     return Tensor(a.values * c, parents=(a,), backward=lambda g: (g * c,))
-
-
-def matmul(a, b):
-    """``a @ b`` for a vector or matrix ``b``; ``a`` is a vector, a matrix or
-    a stack of matrices (leading batch axes)."""
-    av, bv = a.values, b.values
-    if av.ndim == 0 or bv.ndim not in (1, 2) or av.shape[-1] != bv.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-
-    def bw(g):
-        rows = av.reshape(-1, av.shape[-1])
-        if bv.ndim == 1:
-            return g[..., None] * bv, rows.T @ np.reshape(g, -1)
-        return g @ bv.T, rows.T @ g.reshape(-1, bv.shape[1])
-
-    return Tensor(av @ bv, parents=(a, b), backward=bw)
-
-
-def tanh(a):
-    out = np.tanh(a.values)
-    return Tensor(out, parents=(a,), backward=lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid_array(x):
@@ -120,27 +78,9 @@ def log_softmax_array(x):
     return shifted - logz
 
 
-def concat(tensors, axis=0):
-    """Concatenate tensors along ``axis``."""
-    sizes = [t.values.shape[axis] for t in tensors]
-    out = np.concatenate([t.values for t in tensors], axis=axis)
-
-    def bw(g):
-        grads = []
-        off = 0
-        index = [slice(None)] * g.ndim
-        for n in sizes:
-            index[axis] = slice(off, off + n)
-            grads.append(g[tuple(index)])
-            off += n
-        return tuple(grads)
-
-    return Tensor(out, parents=tuple(tensors), backward=bw)
-
-
 def gather(table, ids):
-    """Embedding lookup of a sequence: rows ``ids`` of a 2-D table, repeats
-    allowed, as a (len(ids), columns) tensor."""
+    """Embedding lookup: rows ``ids`` (any shape) of a 2-D table, repeats
+    allowed, as an ``ids.shape + (columns,)`` tensor."""
     ids = np.asarray(ids, dtype=np.intp)
     n = table.values.shape[0]
     if ids.size and not (0 <= ids.min() and ids.max() < n):
@@ -152,21 +92,6 @@ def gather(table, ids):
         return (gt,)
 
     return Tensor(table.values[ids], parents=(table,), backward=bw)
-
-
-def pick(a, index):
-    """``a.values[index]``: an element or a row for an int index, a block for
-    a tuple of ints and slices such as ``(0, slice(n))``, or distinct
-    elements for a tuple of index arrays."""
-    if not isinstance(index, tuple):
-        index = int(index)
-
-    def bw(g):
-        ga = np.zeros_like(a.values)
-        ga[index] = g
-        return (ga,)
-
-    return Tensor(a.values[index], parents=(a,), backward=bw)
 
 
 def backward(loss):

@@ -2,14 +2,14 @@
 
 Bidirectional GRU encoder, single-layer GRU decoder with additive
 attention, tanh output MLP, trained by teacher-forced negative
-log-likelihood under Adadelta. The training loss scores a whole padded
-minibatch at once: each encoder direction, the teacher-forced decoder, and
-the output layer with the loss are single tape nodes with hand-written
-backward passes. Generation is one beam search over a batch of sources,
-returning a k-best list of hypotheses for each; it runs on plain arrays,
-batched over the live beams of all the sources, and builds no gradient
-tape. Greedy decoding, which scores the dev set after each epoch, is that
-search at beam 1.
+log-likelihood under Adadelta. One encoder forward on arrays serves both
+training and decoding. The training loss scores a whole padded minibatch at
+once: the encoder, the teacher-forced decoder, and the output layer with the
+loss are single tape nodes with hand-written backward passes. Generation is
+one beam search over a batch of sources, returning a k-best list of
+hypotheses for each; it runs on plain arrays, batched over the live beams
+of all the sources, and builds no gradient tape. Greedy decoding, which
+scores the dev set after each epoch, is that search at beam 1.
 """
 
 from __future__ import annotations
@@ -195,27 +195,22 @@ def _gru_param_grads(dgx, inputs, prev, acts):
     return _weight_grad(dgx, inputs), du, dgx.sum(axis=0)
 
 
-def _attention_tanh(states, annot_proj, att_w):
-    """The additive attention's tanh activations (..., n, H) for states (..., H)."""
-    return np.tanh(annot_proj + (states @ att_w.T)[..., None, :])
+def _attention_tanh(states, keys, att_w):
+    """The additive attention's tanh activations (B, W, n, H) for the states
+    (B, W, H) over each source's keys (B, n, H)."""
+    return np.tanh(keys[:, None] + _project(states, att_w)[..., None, :])
 
 
-def _attention(states, annot_proj, hidden, att_w, att_v, neg=None):
-    """Additive attention on arrays for states (..., H): the contexts and the
-    weights over source positions. The source is one (n, 2H) ``hidden`` for
-    all the states, one (..., n, 2H) per state, or, for states (Q, W, H),
-    one (Q, n, 2H) per query shared by its W states; ``neg`` (..., n) is
-    -inf at padded source positions and 0 elsewhere."""
-    shared = hidden.ndim == states.ndim == 3  # one source per query
-    if shared:
-        annot_proj, neg = annot_proj[:, None], None if neg is None else neg[:, None]
-    scores = _attention_tanh(states, annot_proj, att_w) @ att_v
+def _attention(states, keys, hidden, att_w, att_v, neg=None):
+    """Additive attention on arrays for the states (B, W, H) of B sources,
+    each over its own source's rows of ``hidden`` (B, n, 2H), whose keys are
+    ``keys`` (B, n, H): the (B, W, 2H) contexts and the (B, W, n) weights.
+    ``neg`` (B, n) is -inf at padded source positions and 0 elsewhere."""
+    scores = _attention_tanh(states, keys, att_w) @ att_v
     if neg is not None:
-        scores += neg
+        scores += neg[:, None]
     weights = nm.softmax_array(scores)
-    if shared or hidden.ndim == 2:
-        return weights @ hidden, weights
-    return (weights[..., None, :] @ hidden)[..., 0, :], weights
+    return weights @ hidden, weights
 
 
 def _gru_run(gx, u, mask=None, reverse=False):
@@ -236,102 +231,87 @@ def _gru_run(gx, u, mask=None, reverse=False):
     return out, prev, acts
 
 
-def _gru_layer(params, prefix, x, mask=None, reverse=False):
-    """A GRU run from a zero state over the steps of ``x`` (..., T, in), last
-    step first if ``reverse`` and keeping its state where ``mask`` is False,
-    as one tape node: the (..., T, H) states in step order. Its backward
-    pass runs back through time by hand."""
-    w, u, b = (params[f"{prefix}_{m}"] for m in "WUb")
-    out, prev, acts = _gru_run(_project(x.values, w.values) + b.values, u.values, mask, reverse)
-
-    def bw(g):
-        dgx = np.empty(g.shape[:-1] + (len(w.values),))
-        dh = np.zeros(g.shape[:-2] + g.shape[-1:])
-        # back through time: the run's last step first
-        for t in (range(len(acts)) if reverse else range(len(acts) - 1, -1, -1)):
-            d = g[..., t, :] + dh
-            dgx_t, dh = _gru_cell_back(d, prev[..., t, :], acts[t], u.values)
-            if mask is not None:  # a step that kept its state passes the gradient on
-                keep = mask[..., t, None]
-                dgx_t, dh = np.where(keep, dgx_t, 0.0), np.where(keep, dh, d)
-            dgx[..., t, :] = dgx_t
-        dx = (_rows(dgx) @ w.values).reshape(x.values.shape)
-        return (dx, *_gru_param_grads(dgx, (x.values,), prev, acts))
-
-    return nm.Tensor(out, parents=(x, w, u, b), backward=bw)
+def _gru_run_back(g, x, w, u, run, mask, reverse):
+    """Back through time from ``g``, the gradient of the states of ``run``, a
+    ``_gru_run`` over the inputs ``x`` (..., T, in) with stacked weights ``w``
+    and ``u``: the gradients w.r.t. ``x`` and the GRU's W, U and b."""
+    _, prev, acts = run
+    dgx = np.empty(g.shape[:-1] + (len(w),))
+    dh = np.zeros(g.shape[:-2] + g.shape[-1:])
+    # back through time: the run's last step first
+    for t in (range(len(acts)) if reverse else range(len(acts) - 1, -1, -1)):
+        d = g[..., t, :] + dh
+        dgx_t, dh = _gru_cell_back(d, prev[..., t, :], acts[t], u)
+        if mask is not None:  # a step that kept its state passes the gradient on
+            keep = mask[..., t, None]
+            dgx_t, dh = np.where(keep, dgx_t, 0.0), np.where(keep, dh, d)
+        dgx[..., t, :] = dgx_t
+    return ((_rows(dgx) @ w).reshape(x.shape), *_gru_param_grads(dgx, (x,), prev, acts))
 
 
 @dataclass
 class EncodedSource:
-    """Encoder output: plain arrays from ``encode``, or Tensors from ``_encode``
-    on the tape.
+    """Encoder output for a padded batch of B sources, on plain arrays; ``neg``
+    marks the padding, and is None for a batch without any."""
 
-    A padded batch of B sources puts a leading (B,) axis on each field, and
-    its ``neg`` marks the padding; for one source, or a batch without
-    padding, ``neg`` is None."""
-
-    hidden: object          # ([B,] n, 2*hidden): concatenated [fwd; bwd] states
-    annot_proj: object      # ([B,] n, hidden): attention key projection U @ h_i
-    init_state: object      # ([B,] hidden): decoder start state
-    neg: object = None      # (B, n) array: -inf at padded source positions, 0 elsewhere
+    hidden: np.ndarray      # (B, n, 2*hidden): concatenated [fwd; bwd] states
+    annot_proj: np.ndarray  # (B, n, hidden): attention keys, hidden @ att_U.T
+    init_state: np.ndarray  # (B, hidden): decoder start state
+    neg: np.ndarray = None  # (B, n): -inf at padded source positions, 0 elsewhere
 
 
-def _neg(mask):
-    """The attention's ``neg`` for a mask of each row's own positions."""
-    return None if mask is None else np.where(mask, 0.0, -np.inf)
+_DIRECTIONS = (("enc_f", False), ("enc_b", True))  # (GRU prefix, reverse?)
 
 
-def _check_source(source_ids, vocab_size):
-    if not len(source_ids):
-        raise ValueError("encode: empty source sequence")
-    for i in source_ids:
-        if not 0 <= int(i) < vocab_size:
-            raise ValueError(f"encode: id {i} out of vocabulary range [0, {vocab_size})")
+def _encoder(ids, mask, v):
+    """The encoder on the parameter arrays ``v`` over source ids (B, n), where
+    ``mask``, if not None, marks each row's own positions: the
+    ``EncodedSource``, the embedded sources and both ``_gru_run``s. Only the
+    reverse run needs the mask: the forward run meets the padding last."""
+    x = v["src_emb"][ids]
+    runs = [_gru_run(_project(x, v[f"{p}_W"]) + v[f"{p}_b"], v[f"{p}_U"], mask if reverse else None,
+                     reverse) for p, reverse in _DIRECTIONS]
+    bwd = runs[1][0]
+    hidden = np.concatenate([runs[0][0], bwd], axis=-1)
+    init_state = np.tanh(bwd[:, 0] @ v["init_W"].T + v["init_b"])
+    neg = None if mask is None else np.where(mask, 0.0, -np.inf)
+    return EncodedSource(hidden, hidden @ v["att_U"].T, init_state, neg), x, runs
 
 
 def encode(sources, params):
-    """Run both encoder directions over a list of sources as one padded
-    batch, on plain arrays, and precompute the attention projections; each
-    field gets a leading (B,) axis. One matmul projects each direction's
-    inputs. As on the tape, only the reverse run needs the padding mask, so
-    it starts at each source's own last position, and ``neg`` carries the
-    mask to attention."""
+    """Run the encoder over a list of sources as one padded batch, on plain
+    arrays; each field gets a leading (B,) axis."""
     if not len(sources):
         raise ValueError("encode: empty list of sources")
     for ids in sources:
-        _check_source(ids, params.vocab_size)
+        if not len(ids):
+            raise ValueError("encode: empty source sequence")
+        for i in ids:
+            if not 0 <= int(i) < params.vocab_size:
+                raise ValueError(f"encode: id {i} out of vocabulary range [0, {params.vocab_size})")
     ids, mask = _pad(sources, 0)  # any id pads: the masks skip padding
-    v = params.arrays
-    x = v["src_emb"][ids]
-
-    def run(prefix, reverse=False):
-        gx = _project(x, v[f"{prefix}_W"]) + v[f"{prefix}_b"]
-        return _gru_run(gx, v[f"{prefix}_U"], mask if reverse else None, reverse)[0]
-
-    fwd, bwd = run("enc_f"), run("enc_b", reverse=True)
-    hidden = np.concatenate([fwd, bwd], axis=-1)
-    init_state = np.tanh(bwd[..., 0, :] @ v["init_W"].T + v["init_b"])
-    return EncodedSource(hidden, _project(hidden, v["att_U"]), init_state, _neg(mask))
+    return _encoder(ids, mask, params.arrays)[0]
 
 
-def _encode(params, ids, mask=None):
-    """The encoder on the tape, for training, over source ids (..., n),
-    where ``mask`` (B, n), if given, marks each row's own positions; each
-    field gets the leading axes of ``ids``. Only the reverse run needs the
-    mask: padding follows a row's own positions, so the forward run reaches
-    them first."""
-    x = nm.gather(params["src_emb"], ids)
-    fwd = _gru_layer(params, "enc_f", x)
-    bwd = _gru_layer(params, "enc_b", x, mask, reverse=True)
-    hidden = nm.concat([fwd, bwd], axis=-1)
-    annot_proj = nm.matmul(hidden, _transpose(params["att_U"]))
-    first = nm.pick(bwd, (Ellipsis, 0, slice(None)))
-    init_state = nm.tanh(nm.add(nm.matmul(first, _transpose(params["init_W"])), params["init_b"]))
-    return EncodedSource(hidden, annot_proj, init_state, _neg(mask))
+def _encode(params, ids, mask):
+    """The encoder for training: the ``EncodedSource`` of ``_encoder`` and one
+    tape node of its (B, n, 2H) hidden rows. The node's backward pass runs
+    both directions back through time by hand; ``_decoder_run`` carries the
+    gradients of the keys and the start state into it."""
+    v, hid = params.arrays, params.config.hidden
+    enc, x, runs = _encoder(ids, mask, v)
 
+    def bw(g):
+        (dx_f, *grads_f), (dx_b, *grads_b) = (
+            _gru_run_back(g[..., i * hid:(i + 1) * hid], x, v[f"{p}_W"], v[f"{p}_U"], run,
+                          mask if reverse else None, reverse)
+            for i, ((p, reverse), run) in enumerate(zip(_DIRECTIONS, runs)))
+        d_emb = np.zeros_like(v["src_emb"])
+        np.add.at(d_emb, ids, dx_f + dx_b)
+        return (d_emb, *grads_f, *grads_b)
 
-def _transpose(t):
-    return nm.Tensor(t.values.T, parents=(t,), backward=lambda g: (g.T,))
+    names = ["src_emb"] + [f"{p}_{m}" for p, _ in _DIRECTIONS for m in "WUb"]
+    return enc, nm.Tensor(enc.hidden, parents=[params[n] for n in names], backward=bw)
 
 
 def _output_layer(params, emb, dec, rows, targets):
@@ -393,60 +373,64 @@ def decode_step(prev_tokens, states, enc, params, rows=None):
             weights)
 
 
-def _decoder_run(params, enc, emb, start):
-    """Teacher-forced decoder steps from the states ``start`` (..., H) as one
-    tape node, where ``emb`` (..., S, e) embeds each step's previous token
-    and attention skips the source padding that ``enc.neg`` marks: the node
-    of the (..., S, 3H) rows [state; context] of the steps, and the
-    (..., S, n) attention weights. Its backward pass runs back through time,
-    attention included, by hand, and recomputes the attention's tanh
-    activations rather than keeping them."""
-    w, u, b = (params[f"dec_{m}"] for m in "WUb")
-    att_w, att_v = params["att_W"], params["att_v"]
-    uv, aw, av = u.values, att_w.values, att_v.values
-    hidden, annot_proj = enc.hidden.values, enc.annot_proj.values
-    e = emb.values
+def _decoder_run(params, enc, hidden, emb):
+    """Teacher-forced decoder steps from the start states of ``enc`` as one
+    tape node of the (B, S, 3H) rows [state; context] of the steps, where
+    ``hidden`` is ``_encode``'s node, ``emb`` (B, S, e) embeds each step's
+    previous token and attention skips the padding that ``enc.neg`` marks.
+    Its backward pass runs back through time by hand, recomputing the
+    attention's tanh activations, and on through the keys and the start
+    states into the source rows."""
+    names = ("dec_W", "dec_U", "dec_b", "att_W", "att_v", "att_U", "init_W", "init_b")
+    w, uv, b, aw, av, au, init_w, _ = (params.arrays[n] for n in names)
+    src, keys, e = enc.hidden, enc.annot_proj, emb.values
     n_emb, hid, steps = e.shape[-1], len(av), e.shape[-2]
-    w_emb, w_ctx = w.values[:, :n_emb], w.values[:, n_emb:]
+    w_emb, w_ctx = w[:, :n_emb], w[:, n_emb:]
     # the embedding part of every step's input projection, in one product
-    ge = _project(e, w_emb) + b.values
+    ge = _project(e, w_emb) + b
     out, prev = np.empty(e.shape[:-1] + (3 * hid,)), np.empty(e.shape[:-1] + (hid,))
-    weights, acts = np.empty(e.shape[:-1] + hidden.shape[-2:-1]), [None] * steps
-    s = start.values
+    weights, acts = np.empty(e.shape[:-1] + src.shape[1:2]), [None] * steps
+    s = enc.init_state
     for t in range(steps):
-        prev[..., t, :] = s
-        context, weights[..., t, :] = _attention(s, annot_proj, hidden, aw, av, enc.neg)
-        s, acts[t] = _gru_cell(ge[..., t, :] + context @ w_ctx.T, s, uv)
-        out[..., t, :hid], out[..., t, hid:] = s, context
+        prev[:, t] = s
+        context, w_t = _attention(s[:, None], keys, src, aw, av, enc.neg)
+        weights[:, t], context = w_t[:, 0], context[:, 0]
+        s, acts[t] = _gru_cell(ge[:, t] + context @ w_ctx.T, s, uv)
+        out[:, t, :hid], out[:, t, hid:] = s, context
 
     def bw(g):
         dgx, d_ctx = np.empty(out.shape), np.empty(out.shape[:-1] + (2 * hid,))
         da = np.empty_like(prev)
-        d_proj, d_v = np.zeros_like(annot_proj), np.zeros(hid)
+        d_keys, d_v = np.zeros_like(keys), np.zeros(hid)
         ds = np.zeros_like(s)
         for t in reversed(range(steps)):
-            p, w_t = prev[..., t, :], weights[..., t, :]
-            dgx[..., t, :], ds = _gru_cell_back(g[..., t, :hid] + ds, p, acts[t], uv)
-            d_ctx[..., t, :] = dc = dgx[..., t, :] @ w_ctx + g[..., t, hid:]
-            d_weights = (hidden @ dc[..., None])[..., 0]
+            p, w_t = prev[:, t], weights[:, t]
+            dgx[:, t], ds = _gru_cell_back(g[:, t, :hid] + ds, p, acts[t], uv)
+            d_ctx[:, t] = dc = dgx[:, t] @ w_ctx + g[:, t, hid:]
+            d_weights = (src @ dc[..., None])[..., 0]
             d_scores = w_t * (d_weights - (w_t * d_weights).sum(axis=-1, keepdims=True))
-            act = _attention_tanh(p, annot_proj, aw)
+            act = _attention_tanh(p[:, None], keys, aw)[:, 0]
             d_v += d_scores.reshape(-1) @ _rows(act)
             # the gradient before the tanh, (1 - act^2) * (d_scores * att_v), in place of act
             np.multiply(act, act, out=act)
             np.subtract(1.0, act, out=act)
             act *= d_scores[..., None] * av
-            d_proj += act
-            da[..., t, :] = act.sum(axis=-2)
-            ds = ds + da[..., t, :] @ aw
+            d_keys += act
+            da[:, t] = act.sum(axis=-2)
+            ds = ds + da[:, t] @ aw
         d_emb = (_rows(dgx) @ w_emb).reshape(e.shape)
-        d_hidden = np.swapaxes(weights, -1, -2) @ d_ctx
-        return (d_emb, d_hidden, d_proj, ds, _rows(da).T @ _rows(prev), d_v,
-                *_gru_param_grads(dgx, (e, out[..., hid:]), prev, acts))
+        d_src = np.swapaxes(weights, -1, -2) @ d_ctx
+        d_src += d_keys @ au
+        # the start state is tanh(first @ init_W.T + init_b), where first is the
+        # reverse run's state at position 0
+        d_init = ds * (1.0 - enc.init_state * enc.init_state)
+        first = src[:, 0, hid:]
+        d_src[:, 0, hid:] += d_init @ init_w
+        return (d_emb, d_src, *_gru_param_grads(dgx, (e, out[..., hid:]), prev, acts),
+                _rows(da).T @ _rows(prev), d_v, (_rows(src).T @ _rows(d_keys)).T,
+                (first.T @ d_init).T, d_init.sum(axis=0))
 
-    node = nm.Tensor(out, backward=bw, parents=(emb, enc.hidden, enc.annot_proj, start,
-                                                 att_w, att_v, w, u, b))
-    return node, weights
+    return nm.Tensor(out, backward=bw, parents=(emb, hidden, *(params[n] for n in names)))
 
 
 def _pad(seqs, pad_id):
@@ -464,10 +448,11 @@ def sequence_loss(triples, params, vocab):
     """Teacher-forced negative log-likelihood of the derived form plus EOS,
     for one triple or summed over a list of them.
 
-    A list runs as one batch, padded to its longest source and target. The
-    masks keep each example's score what it is alone: the reverse encoder
-    run starts at the example's own last position, attention skips padded
-    positions and the loss skips padded steps.
+    A list runs as one batch, padded to its longest source and target, and
+    one triple as a batch of one. The masks keep each example's score what
+    it is alone: the reverse encoder run starts at the example's own last
+    position, attention skips padded positions and the loss skips padded
+    steps.
     """
     batch = triples if isinstance(triples, (list, tuple)) else [triples]
     if not batch:
@@ -475,11 +460,9 @@ def sequence_loss(triples, params, vocab):
     targets = [vocab.encode_target(t.derived) for t in batch]
     src, src_mask = _pad([vocab.encode_source(t.base, t.tag) for t in batch], vocab.pad_id)
     prev, tgt_mask = _pad([[vocab.bos_id] + y[:-1] for y in targets], vocab.pad_id)
-    if batch is not triples:  # one triple: no batch axis
-        src, prev = src[0], prev[0]
-    enc = _encode(params, src, src_mask)
+    enc, hidden = _encode(params, src, src_mask)
     emb = nm.gather(params["tgt_emb"], prev)
-    states, _ = _decoder_run(params, enc, emb, enc.init_state)
+    states = _decoder_run(params, enc, hidden, emb)
     rows = slice(None) if tgt_mask is None else np.flatnonzero(tgt_mask)
     return _output_layer(params, emb, states, rows, np.concatenate(targets))
 

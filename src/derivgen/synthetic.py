@@ -83,14 +83,14 @@ def random_base(rng, min_len=5, max_len=8):
     return base
 
 
-def generate(n, seed=0, tags=ALL_TAGS):
+def generate(n, seed=0):
     """``n`` distinct triples, uniform over tags, deterministic given seed."""
     rng = random.Random(seed)
     triples = []
     seen = set()
     while len(triples) < n:
         base = random_base(rng)
-        tag = tags[len(triples) % len(tags)]
+        tag = ALL_TAGS[len(triples) % len(ALL_TAGS)]
         key = (base, tag)
         if key in seen:
             continue

@@ -2,11 +2,11 @@
 
 import random
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from derivgen import numeric as nm
-from derivgen.seq2seq import EncodedSource
 
 
 _oracle_columns = {}  # a -> {b: column of b}, for the last a only
@@ -270,9 +270,86 @@ def reference_adadelta_step(params, state, clip_norm=None):
 
 # --- The op-by-op seq2seq reference -----------------------------------------
 # The encoder and the decoder step built one elementary op per tape node,
-# from tensor ops that the program itself no longer needs. The program's
-# fused tape nodes, used in training, and its tape-free ``encode`` and
-# ``decode_step``, used in decoding, are checked against it.
+# from tensor ops that the program itself no longer needs: the program's
+# tape has only ``numeric.scale``, ``numeric.gather`` and the fused nodes of
+# ``seq2seq``. Those fused nodes, used in training, and the array functions
+# ``encode`` and ``decode_step``, used in decoding, are checked against it.
+
+
+def _unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a, b):
+    try:
+        out = a.values + b.values
+    except ValueError:
+        raise ValueError(f"add: incompatible shapes {a.values.shape} and {b.values.shape}") from None
+    return nm.Tensor(
+        out,
+        parents=(a, b),
+        backward=lambda g: (_unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)),
+    )
+
+
+def matmul(a, b):
+    """``a @ b`` for a vector or matrix ``b``; ``a`` is a vector, a matrix or
+    a stack of matrices (leading batch axes)."""
+    av, bv = a.values, b.values
+    if av.ndim == 0 or bv.ndim not in (1, 2) or av.shape[-1] != bv.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
+
+    def bw(g):
+        rows = av.reshape(-1, av.shape[-1])
+        if bv.ndim == 1:
+            return g[..., None] * bv, rows.T @ np.reshape(g, -1)
+        return g @ bv.T, rows.T @ g.reshape(-1, bv.shape[1])
+
+    return nm.Tensor(av @ bv, parents=(a, b), backward=bw)
+
+
+def tanh(a):
+    out = np.tanh(a.values)
+    return nm.Tensor(out, parents=(a,), backward=lambda g: (g * (1.0 - out * out),))
+
+
+def concat(tensors, axis=0):
+    """Concatenate tensors along ``axis``."""
+    sizes = [t.values.shape[axis] for t in tensors]
+    out = np.concatenate([t.values for t in tensors], axis=axis)
+
+    def bw(g):
+        grads = []
+        off = 0
+        index = [slice(None)] * g.ndim
+        for n in sizes:
+            index[axis] = slice(off, off + n)
+            grads.append(g[tuple(index)])
+            off += n
+        return tuple(grads)
+
+    return nm.Tensor(out, parents=tuple(tensors), backward=bw)
+
+
+def pick(a, index):
+    """``a.values[index]``: an element or a row for an int index, a block for
+    a tuple of ints and slices such as ``(0, slice(n))``, or distinct
+    elements for a tuple of index arrays."""
+    if not isinstance(index, tuple):
+        index = int(index)
+
+    def bw(g):
+        ga = np.zeros_like(a.values)
+        ga[index] = g
+        return (ga,)
+
+    return nm.Tensor(a.values[index], parents=(a,), backward=bw)
 
 
 def sub(a, b):
@@ -337,18 +414,18 @@ def gru_step(params, prefix, x, h):
     n = len(h.values)
 
     def gate(i, state):
-        w, u, b = (nm.pick(params[f"{prefix}_{m}"], (slice(i * n, (i + 1) * n),)) for m in "WUb")
-        return nm.add(nm.add(nm.matmul(w, x), nm.matmul(u, state)), b)
+        w, u, b = (pick(params[f"{prefix}_{m}"], (slice(i * n, (i + 1) * n),)) for m in "WUb")
+        return add(add(matmul(w, x), matmul(u, state)), b)
 
     z, r = sigmoid(gate(0, h)), sigmoid(gate(1, h))
-    h_tilde = nm.tanh(gate(2, mul(r, h)))
+    h_tilde = tanh(gate(2, mul(r, h)))
     one = nm.constant(np.ones_like(z.values))
-    return nm.add(mul(sub(one, z), h), mul(z, h_tilde))
+    return add(mul(sub(one, z), h), mul(z, h_tilde))
 
 
 def reference_encode(source_ids, params):
     """``seq2seq.encode`` of one source with one ``gru_step`` per source
-    position and direction."""
+    position and direction, as tape tensors without the batch axis."""
     embs = [row(params["src_emb"], i) for i in source_ids]
     runs = []
     for prefix, xs in (("enc_f", embs), ("enc_b", embs[::-1])):
@@ -358,18 +435,18 @@ def reference_encode(source_ids, params):
             states.append(state)
         runs.append(states)
     fwd, bwd = runs[0], runs[1][::-1]
-    rows = [nm.concat([f, b]) for f, b in zip(fwd, bwd)]
-    annot_proj = stack([nm.matmul(params["att_U"], r) for r in rows])
-    init = nm.tanh(nm.add(nm.matmul(params["init_W"], bwd[0]), params["init_b"]))
-    return EncodedSource(stack(rows), annot_proj, init)
+    rows = [concat([f, b]) for f, b in zip(fwd, bwd)]
+    annot_proj = stack([matmul(params["att_U"], r) for r in rows])
+    init = tanh(add(matmul(params["init_W"], bwd[0]), params["init_b"]))
+    return SimpleNamespace(hidden=stack(rows), annot_proj=annot_proj, init_state=init)
 
 
 def attend(decoder_state_prev, enc, params):
     """Additive attention: weights over source positions and their context sum."""
-    ws = nm.matmul(params["att_W"], decoder_state_prev)
-    scores = nm.matmul(nm.tanh(nm.add(enc.annot_proj, ws)), params["att_v"])
+    ws = matmul(params["att_W"], decoder_state_prev)
+    scores = matmul(tanh(add(enc.annot_proj, ws)), params["att_v"])
     weights = softmax(scores)
-    context = nm.matmul(weights, enc.hidden)
+    context = matmul(weights, enc.hidden)
     return context, weights
 
 
@@ -379,10 +456,10 @@ def reference_decode_step(prev_token, state, enc, params):
     weights."""
     emb = row(params["tgt_emb"], prev_token)
     context, weights = attend(state, enc, params)
-    next_state = gru_step(params, "dec", nm.concat([emb, context]), state)
-    features = nm.concat([emb, next_state, context])
-    mlp = nm.tanh(nm.add(nm.matmul(params["out_W1"], features), params["out_b1"]))
-    log_dist = log_softmax(nm.add(nm.matmul(params["out_W2"], mlp), params["out_b2"]))
+    next_state = gru_step(params, "dec", concat([emb, context]), state)
+    features = concat([emb, next_state, context])
+    mlp = tanh(add(matmul(params["out_W1"], features), params["out_b1"]))
+    log_dist = log_softmax(add(matmul(params["out_W2"], mlp), params["out_b2"]))
     return next_state, log_dist, weights
 
 

@@ -8,6 +8,7 @@ from derivgen.baseline import (
     COPY,
     DEL,
     INS,
+    MAX_CONSECUTIVE_INS,
     STOP,
     SUB,
     align,
@@ -174,8 +175,8 @@ class TestPerceptronOracle:
         model = train_perceptron(data, epochs=3, seed=seed)
         states = [s for t in data for s in _training_states(t, 3, 2)]
         assert states == [s for t in data for s in reference_states(t)]
-        past_cap = [s for s in states if s[3] >= model.max_consecutive_ins]
-        assert bool(past_cap) == (insert_run > model.max_consecutive_ins)
+        past_cap = [s for s in states if s[3] >= MAX_CONSECUTIVE_INS]
+        assert bool(past_cap) == (insert_run > MAX_CONSECUTIVE_INS)
         ref = reference_train(data, epochs=3, seed=seed)
         assert model.action_set == ref.action_set
         assert model.update_count == ref.update_count
@@ -206,7 +207,7 @@ class TestPerceptronOracle:
         actions = [(COPY, ""), (SUB, "x"), (DEL, ""), (INS, "y"), (STOP, "")]
         model = PerceptronModel(action_set=actions, avg_weights=np.zeros((0, len(actions))))
         # all scores tie at 0: COPY wins mid-word, INS beats STOP until the cap
-        assert decode_greedy(model, "ab", "T") == "ab" + "y" * model.max_consecutive_ins
+        assert decode_greedy(model, "ab", "T") == "ab" + "y" * MAX_CONSECUTIVE_INS
         model.start_training(3)
         feats = np.array([0, 2])
         assert not model.observe(feats, 4, model.candidates(2, 2, 0))

@@ -461,6 +461,17 @@ def _not_utf8_after_header(lines):
     lines[1] = "\udcff" + lines[1]  # written as the byte 0xff
 
 
+def _header_only(lines):
+    del lines[1:]
+
+
+def _sections_under_a_tag(lines):
+    for i, line in enumerate(lines[1:], 1):  # the shared "*" sections become T's
+        parts = line.split("\t")
+        parts[parts[0] == "!"] = "T"
+        lines[i] = "\t".join(parts)
+
+
 class TestBaselineModelFiles:
     """A baseline model file with a bad header or weight is a model error
     (exit 3) naming the file, and the line where it can."""
@@ -473,6 +484,8 @@ class TestBaselineModelFiles:
         (_unknown_action_kind, (":2:", "'copy2:'")),
         (_non_integer_header_value, (":1:", "window=x")),
         (_not_utf8_after_header, ("not UTF-8 text",)),
+        (_header_only, ("per_tag=0", "'*'")),
+        (_sections_under_a_tag, ("per_tag=0", "'*'")),
     ])
     def test_damaged_baseline_is_model_error(self, tmp_path, capsys, damage, names):
         with open(BASELINE_V1, encoding="utf-8") as fh:
@@ -589,6 +602,19 @@ class TestMissingFiles:
         assert run(["train", "--kind", "baseline", "--splits", str(splits),
                     "--model", str(tmp_path / "m"), "--config", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("command", ["split", "predict", "evaluate"])
+    def test_tsv_not_utf8_names_the_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"# triples\ncaf\xe9\tAGENT\tcafer\n")
+        args = {"split": ["split", "--data", str(bad), "--out-dir", str(tmp_path / "splits")],
+                "predict": ["predict", "--model", BASELINE_V1, "--input", str(bad)],
+                "evaluate": ["evaluate", "--pred", str(bad), "--gold", str(bad)]}[command]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in err
 
 
 class TestUsage:

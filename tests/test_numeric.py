@@ -5,8 +5,8 @@ import pytest
 
 from derivgen import numeric as nm
 
-from conftest import (finite_difference, log_softmax, max_grad_rel_error, mul,
-                      reference_adadelta_step, row, sigmoid, stack, sub, sum_all)
+from conftest import (add, concat, finite_difference, log_softmax, matmul, max_grad_rel_error,
+                      mul, pick, reference_adadelta_step, row, sigmoid, stack, sub, sum_all, tanh)
 
 rng = np.random.default_rng(12345)
 
@@ -15,17 +15,17 @@ class TestForwardOps:
     def test_matmul_identity(self):
         a = nm.constant(rng.normal(size=(4, 3)))
         eye = nm.constant(np.eye(4))
-        assert np.allclose(nm.matmul(eye, a).values, a.values)
+        assert np.allclose(matmul(eye, a).values, a.values)
 
     def test_matmul_shape_error_names_shapes(self):
         a = nm.constant(np.zeros((2, 3)))
         b = nm.constant(np.zeros((4,)))
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4,\)"):
-            nm.matmul(a, b)
+            matmul(a, b)
 
     def test_add_shape_error(self):
         with pytest.raises(ValueError, match="incompatible shapes"):
-            nm.add(nm.constant(np.zeros(3)), nm.constant(np.zeros((2, 2))))
+            add(nm.constant(np.zeros(3)), nm.constant(np.zeros((2, 2))))
 
     def test_softmax_constant_is_uniform(self):
         for n in (1, 3, 7):
@@ -44,7 +44,7 @@ class TestForwardOps:
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_tanh_sigmoid_at_zero(self):
-        assert nm.tanh(nm.constant(0.0)).values == 0.0
+        assert tanh(nm.constant(0.0)).values == 0.0
         assert nm.sigmoid_array(np.float64(0.0)) == 0.5
         assert sigmoid(nm.constant(0.0)).values == 0.5
 
@@ -56,7 +56,7 @@ class TestForwardOps:
     def test_concat_and_stack(self):
         a = nm.constant(np.array([1.0, 2.0]))
         b = nm.constant(np.array([3.0]))
-        assert list(nm.concat([a, b]).values) == [1.0, 2.0, 3.0]
+        assert list(concat([a, b]).values) == [1.0, 2.0, 3.0]
         s = stack([nm.constant(np.array([1.0, 2.0])), nm.constant(np.array([3.0, 4.0]))])
         assert s.values.shape == (2, 2)
 
@@ -68,8 +68,8 @@ class TestForwardOps:
 
     def test_deterministic(self):
         x = rng.normal(size=8)
-        a = nm.softmax_array(nm.tanh(nm.constant(x)).values)
-        b = nm.softmax_array(nm.tanh(nm.constant(x)).values)
+        a = nm.softmax_array(tanh(nm.constant(x)).values)
+        b = nm.softmax_array(tanh(nm.constant(x)).values)
         assert np.array_equal(a, b)
 
 
@@ -85,7 +85,7 @@ class TestBackward:
         xt = nm.constant(x)
 
         def build():
-            return sum_all(nm.matmul(W, xt))
+            return sum_all(matmul(W, xt))
 
         nm.backward(build())
         assert np.allclose(W.grad, np.outer(np.ones(3), x))
@@ -96,12 +96,12 @@ class TestBackward:
     def test_unused_parameter_grad_exactly_zero(self):
         used = nm.parameter(rng.normal(size=3))
         unused = nm.parameter(rng.normal(size=3))
-        nm.backward(sum_all(nm.tanh(used)))
+        nm.backward(sum_all(tanh(used)))
         assert np.all(unused.grad == 0.0)
 
     def test_grads_accumulate_until_cleared(self):
         p = nm.parameter(rng.normal(size=4))
-        loss = nm.matmul(p, p)
+        loss = matmul(p, p)
         nm.backward(loss)
         once = p.grad.copy()
         nm.backward(loss)
@@ -112,7 +112,7 @@ class TestBackward:
     def test_shared_subexpression(self):
         p = nm.parameter(np.array([2.0]))
         # loss = p.p + p  -> dloss/dp = 2p + 1 = 5
-        loss = nm.add(nm.matmul(p, p), sum_all(p))
+        loss = add(matmul(p, p), sum_all(p))
         nm.backward(loss)
         assert p.grad[0] == pytest.approx(5.0)
 
@@ -125,9 +125,9 @@ class TestBackward:
         table = nm.parameter(rng.normal(size=(4, 3)))
 
         def build():
-            h = nm.tanh(nm.add(nm.matmul(W, v), b))
-            g = sigmoid(nm.matmul(h, stack([row(table, 0), row(table, 2), b])))
-            return nm.pick(log_softmax(nm.concat([g, mul(h, b), sub(h, g)])), 1)
+            h = tanh(add(matmul(W, v), b))
+            g = sigmoid(matmul(h, stack([row(table, 0), row(table, 2), b])))
+            return pick(log_softmax(concat([g, mul(h, b), sub(h, g)])), 1)
 
         err = max_grad_rel_error(build, {"W": W, "v": v, "b": b, "table": table})
         assert err < 1e-4
@@ -143,11 +143,11 @@ class TestBackward:
         def build():
             x = nm.gather(table, [2, 0, 2])
             ones = nm.constant(np.ones((2, 5)))
-            h = nm.tanh(nm.matmul(nm.concat([x, c], axis=1), nm.concat([W, ones], axis=0)))
+            h = tanh(matmul(concat([x, c], axis=1), concat([W, ones], axis=0)))
             lp = log_softmax(h)
-            rows = nm.add(nm.matmul(nm.pick(lp, 1), nm.pick(h, 2)),
-                          sum_all(nm.pick(h, (0, slice(1, 4)))))
-            return nm.add(rows, sum_all(nm.pick(lp, (np.arange(3), np.array([4, 0, 4])))))
+            rows = add(matmul(pick(lp, 1), pick(h, 2)),
+                          sum_all(pick(h, (0, slice(1, 4)))))
+            return add(rows, sum_all(pick(lp, (np.arange(3), np.array([4, 0, 4])))))
 
         err = max_grad_rel_error(build, {"table": table, "W": W, "c": c})
         assert err < 1e-4
@@ -161,16 +161,16 @@ class TestBackward:
         v = nm.parameter(rng.normal(size=4))
 
         def build():
-            x = nm.concat([nm.gather(table, [[0, 3, 3], [2, 1, 0]]), c], axis=-1)
-            return nm.add(sum_all(nm.tanh(nm.matmul(x, W))), sum_all(nm.matmul(x, v)))
+            x = concat([nm.gather(table, [[0, 3, 3], [2, 1, 0]]), c], axis=-1)
+            return add(sum_all(tanh(matmul(x, W))), sum_all(matmul(x, v)))
 
-        assert nm.matmul(nm.constant(np.zeros((2, 3, 4))), W).values.shape == (2, 3, 5)
+        assert matmul(nm.constant(np.zeros((2, 3, 4))), W).values.shape == (2, 3, 5)
         err = max_grad_rel_error(build, {"table": table, "c": c, "W": W, "v": v})
         assert err < 1e-4
 
     def test_matmul_rejects_a_stacked_right_operand(self):
         with pytest.raises(ValueError, match=r"matmul: incompatible shapes \(4,\) and \(4, 5, 6\)"):
-            nm.matmul(nm.constant(np.zeros(4)), nm.constant(np.zeros((4, 5, 6))))
+            matmul(nm.constant(np.zeros(4)), nm.constant(np.zeros((4, 5, 6))))
 
     def test_gather_range(self):
         table = nm.parameter(rng.normal(size=(5, 3)))

@@ -28,7 +28,7 @@ from derivgen.seq2seq import (
     train,
 )
 
-from conftest import max_grad_rel_error, reference_decode_step, reference_encode
+from conftest import add, max_grad_rel_error, pick, reference_decode_step, reference_encode
 
 
 def micro_vocab():
@@ -52,8 +52,9 @@ def attention_at_start(enc, params):
     """The attention of a one-source ``enc``'s start state: the context and
     the weights over source positions."""
     v = params.arrays
-    context, weights = _attention(enc.init_state, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"])
-    return context[0], weights[0]
+    context, weights = _attention(enc.init_state[:, None], enc.annot_proj, enc.hidden, v["att_W"],
+                                  v["att_v"])
+    return context[0, 0], weights[0, 0]
 
 
 class TestEncode:
@@ -206,17 +207,19 @@ class TestArrayModel:
         return params, vocab
 
     def test_encode_matches_tape_encode(self):
-        # both the tape encoder and the array one against the reference
+        # both the training encoder, with its tape node of the hidden rows,
+        # and the decoding one against the reference
         for seed in range(5):
             params, vocab = self.random_model(seed)
             for base, tag in (("a", "T"), ("abcab", "U"), ("cc", "T")):
                 src = vocab.encode_source(base, tag)
                 ref = reference_encode(src, params)
-                tape = _encode(params, src)
+                tape, node = _encode(params, np.array([src]), None)
                 got = encode([src], params)
+                assert node.values is tape.hidden
                 for field in ("hidden", "annot_proj", "init_state"):
                     want = getattr(ref, field).values
-                    for value in (getattr(got, field)[0], getattr(tape, field).values):
+                    for value in (getattr(got, field)[0], getattr(tape, field)[0]):
                         assert value.shape == want.shape
                         assert np.max(np.abs(value - want)) < 1e-12
 
@@ -268,8 +271,8 @@ def stepwise_loss(triple, params, vocab):
     state, prev, loss = enc.init_state, vocab.bos_id, None
     for y in vocab.encode_target(triple.derived):
         state, log_dist, _ = reference_decode_step(prev, state, enc, params)
-        term = nm.scale(nm.pick(log_dist, y), -1.0)
-        loss = term if loss is None else nm.add(loss, term)
+        term = nm.scale(pick(log_dist, y), -1.0)
+        loss = term if loss is None else add(loss, term)
         prev = y
     return loss
 
@@ -307,6 +310,24 @@ class TestSequenceLoss:
     def test_loss_nonnegative(self):
         params, vocab = micro_params(seed=8)
         assert float(sequence_loss(Triple("a", "T", "b"), params, vocab).values) >= 0.0
+
+    def test_minibatch_tape_is_fused(self, monkeypatch):
+        # a ragged minibatch's loss is four tape nodes: the encoder, the
+        # target embeddings, the decoder run and the output layer with the loss
+        params, vocab = TestArrayModel.random_model(0)
+        built = []
+        init = nm.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+        nm.constant(0.0)
+        assert len(built) == 1  # the count sees every tensor built
+        built.clear()
+        sequence_loss(list(TestMinibatch.BATCHES[1]), params, vocab)
+        assert len(built) == 4
 
     def test_gradient_matches_finite_differences(self):
         # micro model: embedding 4, hidden 3, vocab 6 (one char, one tag)
@@ -356,7 +377,7 @@ class TestMinibatch:
                 def reference():
                     total = stepwise_loss(batch[0], params, vocab)
                     for t in batch[1:]:
-                        total = nm.add(total, stepwise_loss(t, params, vocab))
+                        total = add(total, stepwise_loss(t, params, vocab))
                     return total
 
                 ref_loss, ref = self.loss_and_grads(reference, params)
