@@ -4,7 +4,11 @@
 
 It prints one ``name sha256`` line per output, for the ``derivgen`` package
 of this checkout. Run it on two checkouts and diff the files; a change that
-claims identical outputs shows no differing line. It covers:
+claims identical outputs shows no differing line. Each line that hashes
+hypotheses with their log-probabilities has a ``<name>.texts`` line beside
+it that hashes only their tokens or texts (and finished flags, where the
+output has them), so a diff tells log-probability bits that moved apart
+from outputs that changed. It covers:
 
 - the checkpoint, sidecar, training log and every epoch's dev predictions
   of the acceptance suite's seq2seq run (emb 32, hidden 64, batch 5, beam 4,
@@ -55,10 +59,17 @@ def emit_file(name, path):
         emit(name, fh.read())
 
 
-def hyps_text(batches):
-    """Hypotheses as exact text: tokens, log-probability repr and flag."""
-    return "\n".join(repr([(h.tokens, h.log_prob, h.finished) for h in hyps])
+def hyps_text(batches, log_probs=True):
+    """Hypotheses as exact text: tokens, log-probability repr (left out
+    unless ``log_probs``) and finished flag."""
+    return "\n".join(repr([(h.tokens, h.log_prob, h.finished) if log_probs
+                            else (h.tokens, h.finished) for h in hyps])
                      for batch in batches for hyps in batch)
+
+
+def kbest_texts(kbest):
+    """``predict_kbest`` lists without their log-probabilities."""
+    return repr([[text for text, _ in ranked] for ranked in kbest])
 
 
 @contextlib.contextmanager
@@ -94,6 +105,7 @@ def training_run(name, split, vocab, config, work):
     emit_file(f"{name}.sidecar", path + ".meta.json")
     emit(f"{name}.log", "\n".join(lines))
     emit(f"{name}.dev-predictions", hyps_text(calls))
+    emit(f"{name}.dev-predictions.texts", hyps_text(calls, log_probs=False))
     return params
 
 
@@ -105,6 +117,7 @@ def acceptance_seq2seq(work):
     params = training_run("synth-seq2seq", split, vocab, config, work)
     preds = [seq2seq.predict_kbest(params, vocab, t.base, t.tag, beam=4, k=1) for t in split.test]
     emit("synth-seq2seq.test-predictions", repr(preds))
+    emit("synth-seq2seq.test-predictions.texts", kbest_texts(preds))
 
 
 def s2s_train_slices(work):
@@ -126,6 +139,7 @@ def s2s_predict(work):
     kbest = [seq2seq.predict_kbest(params, vocab, base, tag, beam=12, k=10)
              for base, tag in queries[:200]]
     emit("s2s-predict.kbest-200", repr(kbest))
+    emit("s2s-predict.kbest-200.texts", kbest_texts(kbest))
     path = os.path.join(work, "queries.tsv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{base}\t{tag}\n" for base, tag in queries[200:700])

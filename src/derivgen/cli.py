@@ -227,6 +227,23 @@ def read_predictions(path):
     return [(key, [ranked[r] for r in sorted(ranked)]) for key, ranked in queries]
 
 
+def _read_affixes(path):
+    """The affix inventory file: one suffix per line, with or without its
+    leading '-'; blank lines and '#' comments are skipped."""
+    inventory = []
+    for lineno, parts in corpus.read_rows(path):
+        line = "\t".join(parts).strip()
+        if not line:
+            continue  # blank but for spaces
+        affix = line.lstrip("-")
+        if not affix or "\t" in affix:
+            raise DataError(f"{path}:{lineno}: expected one affix, not {line!r}")
+        inventory.append(affix)
+    if not inventory:
+        raise DataError(f"{path}: no affixes")
+    return tuple(inventory)
+
+
 def cmd_evaluate(args):
     if args.k < 1:
         raise DataError("k must be >= 1")
@@ -237,10 +254,7 @@ def cmd_evaluate(args):
     for (key, _), t in zip(preds, gold):
         if key != (t.base, t.tag):
             raise DataError(f"prediction/gold misalignment at {key} vs {(t.base, t.tag)}")
-    inventory = metrics.DEFAULT_AFFIXES
-    if args.affixes:
-        with open(args.affixes, "r", encoding="utf-8") as fh:
-            inventory = tuple(line.strip().lstrip("-") for line in fh if line.strip())
+    inventory = _read_affixes(args.affixes) if args.affixes else metrics.DEFAULT_AFFIXES
     kbest = [hyps[: args.k] for _, hyps in preds]
     report = metrics.evaluate(kbest, gold, inventory)
     if args.json:

@@ -196,19 +196,19 @@ def adadelta_step(params, state, clip_norm=None):
 CHECKPOINT_VERSION = 1
 
 
-def save_params(path, params, meta=None):
-    """Write parameters to a JSON container with base64 little-endian float64 data."""
+def save_params(path, arrays, meta=None):
+    """Write named arrays to a JSON container with base64 little-endian float64 data."""
     payload = {
         "format": "derivgen-checkpoint",
         "version": CHECKPOINT_VERSION,
         "meta": meta or {},
         "params": {
             name: {
-                "shape": list(p.values.shape),
+                "shape": list(a.shape),
                 "dtype": "<f8",
-                "data": base64.b64encode(np.ascontiguousarray(p.values, dtype="<f8").tobytes()).decode("ascii"),
+                "data": base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii"),
             }
-            for name, p in params.items()
+            for name, a in arrays.items()
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -216,7 +216,7 @@ def save_params(path, params, meta=None):
 
 
 def load_params(path):
-    """Inverse of save_params; returns (params dict, meta dict). Bit-exact.
+    """Inverse of save_params; returns (arrays dict, meta dict). Bit-exact.
 
     A file that cannot be read as a checkpoint raises ValueError naming the path.
     """
@@ -229,12 +229,11 @@ def load_params(path):
         raise ValueError(f"{path}: not a derivgen checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    params = {}
+    arrays = {}
     try:
         for name, entry in payload["params"].items():
             raw = base64.b64decode(entry["data"])
-            arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
-            params[name] = parameter(arr)
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: corrupt tensor data: {type(e).__name__}: {e}") from None
-    return params, payload.get("meta", {})
+    return arrays, payload.get("meta", {})

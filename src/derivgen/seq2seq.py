@@ -2,8 +2,9 @@
 
 Bidirectional GRU encoder, single-layer GRU decoder with additive
 attention, tanh output MLP, trained by teacher-forced negative
-log-likelihood under Adadelta. One encoder forward on arrays serves both
-training and decoding. The training loss scores a whole padded minibatch at
+log-likelihood under Adadelta. One encoder forward and one decoder step
+(attention, GRU update, output MLP) on arrays serve both training and
+decoding. The training loss scores a whole padded minibatch at
 once: the encoder, the teacher-forced decoder, and the output layer with the
 loss are single tape nodes with hand-written backward passes. Generation is
 one beam search over a batch of sources, returning a k-best list of
@@ -44,8 +45,12 @@ class Seq2SeqConfig:
 
     def __post_init__(self):
         # sizes must be integers: a sidecar's 3.0 would pass the shape check
-        counts = (self.emb, self.hidden, self.batch, self.epochs, self.beam, self.max_extra + 1)
-        if min(map(operator.index, counts)) < 1 or not (self.clip is None or self.clip > 0):
+        try:
+            counts = (self.emb, self.hidden, self.batch, self.epochs, self.beam, self.max_extra + 1)
+            valid = min(map(operator.index, counts)) >= 1 and (self.clip is None or self.clip > 0)
+        except TypeError:  # a size that is not an integer, or a value of no number type
+            valid = False
+        if not valid:
             raise ValueError("invalid seq2seq hyperparameters: emb, hidden, batch, epochs and "
                              "beam must be integers >= 1, max_extra one >= 0, clip None or > 0")
 
@@ -314,36 +319,24 @@ def _encode(params, ids, mask):
     return enc, nm.Tensor(enc.hidden, parents=[params[n] for n in names], backward=bw)
 
 
-def _output_layer(params, emb, dec, rows, targets):
-    """The output MLP on the features [emb; state; context] of the steps
-    ``rows`` (flat indices over the leading axes) of ``emb`` (..., e) and of
-    the decoder rows ``dec`` (..., 3H), as one tape node: the summed
-    negative log-likelihood of ``targets`` (N,). The backward pass gathers
-    the features again rather than keeping them."""
-    w1, b1, w2, b2 = (params[name] for name in ("out_W1", "out_b1", "out_W2", "out_b2"))
-    n_emb = emb.values.shape[-1]
-    w1_emb, w1_dec = w1.values[:, :n_emb], w1.values[:, n_emb:]
+def _decoder_cell(ge, states, enc, v):
+    """One decoder step on the arrays ``v`` for the states (B, W, H), each over its own source in
+    ``enc``, with ``ge`` (B * W, 3H) the embedding part of the GRU input: the new states and the
+    contexts as (B * W, .) rows, the weights (B, W, n) and the GRU activations."""
+    context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"],
+                                  enc.neg)
+    context = _rows(context)
+    gx = ge + context @ v["dec_W"][:, -context.shape[-1]:].T
+    new_states, acts = _gru_cell(gx, _rows(states), v["dec_U"])
+    return new_states, context, weights, acts
 
-    def features():
-        return _rows(emb.values)[rows], _rows(dec.values)[rows]
 
-    e, d = features()
-    mlp = np.tanh(e @ w1_emb.T + d @ w1_dec.T + b1.values)
-    log_probs = nm.log_softmax_array(mlp @ w2.values.T + b2.values)
-    picked = (np.arange(len(targets)), targets)
-
-    def bw(g):
-        d_logits = np.exp(log_probs)
-        d_logits[picked] -= 1.0
-        d_logits *= g
-        d_pre = (d_logits @ w2.values) * (1.0 - mlp * mlp)
-        d_emb, d_dec = np.zeros_like(emb.values), np.zeros_like(dec.values)
-        _rows(d_emb)[rows] = d_pre @ w1_emb
-        _rows(d_dec)[rows] = d_pre @ w1_dec
-        return (d_emb, d_dec, _weight_grad(d_pre, features()), d_pre.sum(axis=0),
-                d_logits.T @ mlp, d_logits.sum(axis=0))
-
-    return nm.Tensor(-log_probs[picked].sum(), backward=bw, parents=(emb, dec, w1, b1, w2, b2))
+def _output_mlp(e, d, v):
+    """The output MLP on the arrays ``v`` for the rows ``e`` (N, e) of previous-token embeddings
+    and ``d`` (N, 3H) of [state; context]: its tanh activations and log-distributions."""
+    w1 = v["out_W1"]
+    mlp = np.tanh(e @ w1[:, :e.shape[-1]].T + d @ w1[:, e.shape[-1]:].T + v["out_b1"])
+    return mlp, nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
 
 
 def decode_step(prev_tokens, states, enc, params, rows=None):
@@ -360,17 +353,41 @@ def decode_step(prev_tokens, states, enc, params, rows=None):
     if rows is not None:
         states = states[rows]
     v = params.arrays
-    context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"],
-                                  enc.neg)
-    # the rest runs on the Q * W rows as plain matrices
-    emb, context = v["tgt_emb"][prev_tokens.ravel()], _rows(context)
-    gx = np.concatenate([emb, context], axis=1) @ v["dec_W"].T + v["dec_b"]
-    next_states = _gru_cell(gx, _rows(states), v["dec_U"])[0]
-    mlp = np.tanh(np.concatenate([emb, next_states, context], axis=1) @ v["out_W1"].T
-                  + v["out_b1"])
-    log_probs = nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
-    return (next_states.reshape(states.shape), log_probs.reshape(states.shape[:2] + (-1,)),
-            weights)
+    emb = v["tgt_emb"][prev_tokens.ravel()]
+    ge = emb @ v["dec_W"][:, :emb.shape[-1]].T + v["dec_b"]
+    new, context, weights, _ = _decoder_cell(ge, states, enc, v)
+    log_probs = _output_mlp(emb, np.concatenate([new, context], axis=1), v)[1]
+    return new.reshape(states.shape), log_probs.reshape(states.shape[:2] + (-1,)), weights
+
+
+def _output_layer(params, emb, dec, rows, targets):
+    """The output MLP on the features [emb; state; context] of the steps
+    ``rows`` (flat indices over the leading axes) of ``emb`` (..., e) and of
+    the decoder rows ``dec`` (..., 3H), as one tape node: the summed
+    negative log-likelihood of ``targets`` (N,). The backward pass gathers
+    the features again rather than keeping them."""
+    w1, b1, w2, b2 = (params[name] for name in ("out_W1", "out_b1", "out_W2", "out_b2"))
+    n_emb = emb.values.shape[-1]
+    w1_emb, w1_dec = w1.values[:, :n_emb], w1.values[:, n_emb:]
+
+    def features():
+        return _rows(emb.values)[rows], _rows(dec.values)[rows]
+
+    mlp, log_probs = _output_mlp(*features(), params.arrays)
+    picked = (np.arange(len(targets)), targets)
+
+    def bw(g):
+        d_logits = np.exp(log_probs)
+        d_logits[picked] -= 1.0
+        d_logits *= g
+        d_pre = (d_logits @ w2.values) * (1.0 - mlp * mlp)
+        d_emb, d_dec = np.zeros_like(emb.values), np.zeros_like(dec.values)
+        _rows(d_emb)[rows] = d_pre @ w1_emb
+        _rows(d_dec)[rows] = d_pre @ w1_dec
+        return (d_emb, d_dec, _weight_grad(d_pre, features()), d_pre.sum(axis=0),
+                d_logits.T @ mlp, d_logits.sum(axis=0))
+
+    return nm.Tensor(-log_probs[picked].sum(), backward=bw, parents=(emb, dec, w1, b1, w2, b2))
 
 
 def _decoder_run(params, enc, hidden, emb):
@@ -393,10 +410,8 @@ def _decoder_run(params, enc, hidden, emb):
     s = enc.init_state
     for t in range(steps):
         prev[:, t] = s
-        context, w_t = _attention(s[:, None], keys, src, aw, av, enc.neg)
-        weights[:, t], context = w_t[:, 0], context[:, 0]
-        s, acts[t] = _gru_cell(ge[:, t] + context @ w_ctx.T, s, uv)
-        out[:, t, :hid], out[:, t, hid:] = s, context
+        s, context, w_t, acts[t] = _decoder_cell(ge[:, t], s[:, None], enc, params.arrays)
+        weights[:, t], out[:, t, :hid], out[:, t, hid:] = w_t[:, 0], s, context
 
     def bw(g):
         dgx, d_ctx = np.empty(out.shape), np.empty(out.shape[:-1] + (2 * hid,))
@@ -592,9 +607,9 @@ def train(split, vocab, config):
     """Adadelta training with per-epoch dev selection.
 
     Each minibatch is one ``sequence_loss`` call, and its gradient is that
-    of the mean loss over the batch; the checkpoint with the best dev accuracy is returned, ties broken by
-    lower dev edit distance then earlier epoch. Deterministic given the
-    config seed.
+    of the mean loss over the batch; the checkpoint with the best dev
+    accuracy is returned, ties broken by lower dev edit distance then
+    earlier epoch. Deterministic given the config seed.
     """
     if not split.train:
         raise ValueError("train: empty training split")
@@ -645,9 +660,7 @@ def save_model(path, params, vocab, meta=None):
     """Checkpoint container plus a JSON sidecar with vocab/config/metrics.
 
     The container holds each GRU as its nine per-gate tensors."""
-    arrays = _checkpoint_arrays(params)
-    nm.save_params(path, {name: nm.constant(a) for name, a in arrays.items()},
-                   meta={"kind": "seq2seq"})
+    nm.save_params(path, _checkpoint_arrays(params), meta={"kind": "seq2seq"})
     sidecar = {
         "vocab": vocab.to_dict(),
         "config": params.config.to_dict(),
@@ -667,7 +680,7 @@ def load_model(path):
     Anything else, or a file that cannot be read, raises ValueError naming
     the file.
     """
-    tensors, _ = nm.load_params(path)
+    arrays, _ = nm.load_params(path)
     sidecar_path = path + ".meta.json"
     try:
         with open(sidecar_path, "r", encoding="utf-8") as fh:
@@ -678,11 +691,11 @@ def load_model(path):
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{sidecar_path}: unreadable model sidecar: "
                          f"{type(e).__name__}: {e}") from None
-    for name in sorted(expected.keys() | tensors.keys()):
-        got = tensors[name].shape if name in tensors else "none (missing)"
+    for name in sorted(expected.keys() | arrays.keys()):
+        got = arrays[name].shape if name in arrays else "none (missing)"
         want = expected.get(name, "none (not a model tensor)")
         if got != want:
             raise ValueError(f"{path}: tensor {name} has shape {got}, but the vocab and "
                              f"config in {sidecar_path} give {want}")
-    params = Seq2SeqParams(len(vocab), config, {name: t.values for name, t in tensors.items()})
+    params = Seq2SeqParams(len(vocab), config, arrays)
     return params, vocab, sidecar.get("metrics", {})

@@ -181,6 +181,23 @@ class TestTrainPredictEvaluate:
         assert run(["evaluate", "--pred", str(pred), "--gold", str(gold), "--k", k]) == 2
         assert capsys.readouterr() == ("", "error: k must be >= 1\n")
 
+    @pytest.mark.parametrize("content, where", [
+        (b"-ly\n-\n", ":2: expected one affix, not '-'"),  # the empty affix matches every form
+        (b"\n  \n", ": no affixes"),
+        (b"-ly\n-n\xe9ss\n", ":2: not UTF-8 text"),
+    ], ids=["dash", "blank", "not_utf8"])
+    def test_bad_affix_file_names_the_file(self, tmp_path, capsys, content, where):
+        gold, pred, affixes = tmp_path / "gold.tsv", tmp_path / "pred.tsv", tmp_path / "affixes.txt"
+        gold.write_text("ab\tT\tably\n", encoding="utf-8")
+        pred.write_text("ab\tT\t1\tably\t0.0\n", encoding="utf-8")
+        args = ["evaluate", "--pred", str(pred), "--gold", str(gold), "--affixes", str(affixes)]
+        affixes.write_bytes(b"# suffixes\n-ly\n")
+        assert run(args) == 0
+        assert "-ly" in capsys.readouterr().out
+        affixes.write_bytes(content)
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {affixes}{where}")
+
     def test_invalid_hyperparameters_rejected(self, tmp_path, toy_dataset, capsys):
         splits = tmp_path / "splits"
         run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])

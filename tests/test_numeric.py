@@ -270,17 +270,14 @@ class TestAdadelta:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        params = {
-            "w": nm.parameter(rng.normal(size=(3, 5))),
-            "b": nm.parameter(rng.normal(size=7)),
-        }
+        params = {"w": rng.normal(size=(3, 5)), "b": rng.normal(size=7)}
         path = tmp_path / "ckpt.json"
         nm.save_params(path, params, meta={"note": "test"})
         loaded, meta = nm.load_params(path)
         assert meta == {"note": "test"}
         for name in params:
-            assert np.array_equal(loaded[name].values, params[name].values)
-            assert loaded[name].values.dtype == np.float64
+            assert np.array_equal(loaded[name], params[name])
+            assert loaded[name].dtype == np.float64
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

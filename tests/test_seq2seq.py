@@ -395,6 +395,28 @@ class TestMinibatch:
         for name, g in alone[1].items():
             assert np.max(np.abs(batch[1][name] - g)) <= 1e-12 * max(1.0, np.max(np.abs(g))), name
 
+    def test_batch_equals_decode_step_chain(self):
+        # training and decoding share one decoder step: a ragged batch forced
+        # through a chain of batched ``decode_step``s from ``encode`` scores
+        # what the loss does
+        for seed in range(3):
+            params, vocab = TestArrayModel.random_model(seed)
+            batch = list(self.BATCHES[2])
+            targets = [vocab.encode_target(t.derived) for t in batch]
+            lengths = np.array([len(y) for y in targets])
+            steps = lengths.max()
+            gold = np.array([y + [0] * (steps - len(y)) for y in targets])  # padded with id 0
+            enc = encode([vocab.encode_source(t.base, t.tag) for t in batch], params)
+            states, prev = enc.init_state[:, None], np.full((len(batch), 1), vocab.bos_id)
+            picked = np.empty(gold.shape)
+            for t in range(steps):
+                states, log_probs, _ = decode_step(prev, states, enc, params)
+                picked[:, t] = log_probs[np.arange(len(batch)), 0, gold[:, t]]
+                prev = gold[:, t, None]
+            want = -picked[np.arange(steps) < lengths[:, None]].sum()
+            got = float(sequence_loss(batch, params, vocab).values)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_empty_list_errors(self):
         params, vocab = micro_params()
         with pytest.raises(ValueError, match="empty"):
@@ -772,7 +794,8 @@ class TestTraining:
         assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("field, value", [("epochs", 0), ("batch", 0), ("emb", 0), ("beam", 0),
-                                              ("max_extra", -1), ("clip", -1.0), ("clip", 0.0)])
+                                              ("max_extra", -1), ("clip", -1.0), ("clip", 0.0),
+                                              ("emb", 2.5), ("max_extra", 1.5)])
     def test_invalid_config_refused(self, field, value):
         with pytest.raises(ValueError, match="invalid seq2seq hyperparameters"):
             Seq2SeqConfig(**{"emb": 4, "hidden": 3, field: value})
