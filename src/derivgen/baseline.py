@@ -28,9 +28,6 @@ SUB, DEL, INS, STOP = "sub", "del", "ins", "stop"
 COPY = "copy"
 _KIND_ORDER = {COPY: 0, SUB: 1, DEL: 2, INS: 3, STOP: 4}
 
-# An action is a (kind, char) pair; char is "" for DEL and STOP.
-Action = tuple
-
 BOUNDARY_LEFT = "<w>"
 BOUNDARY_RIGHT = "</w>"
 HISTORY_PAD = "<h>"
@@ -40,7 +37,7 @@ MAX_CONSECUTIVE_INS = 5  # INS is legal only below this many insertions in a row
 @dataclass(frozen=True)
 class EditScript:
     source: str
-    actions: tuple
+    actions: tuple  # (kind, char) pairs; char is "" for DEL and STOP
 
     def apply(self):
         """Run the actions over the source; consumes the whole input."""

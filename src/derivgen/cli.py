@@ -140,7 +140,11 @@ def cmd_train(args):
         opts = _merged_options(args, SEQ2SEQ_KEYS)
         config = seq2seq.Seq2SeqConfig.from_dict(opts)  # invalid values: ValueError, exit 2
         vocab = corpus.build_vocab(split.train)
-        params, meta, lines = seq2seq.train(split, vocab, config)
+        try:
+            params, meta, lines = seq2seq.train(split, vocab, config)
+        except MemoryError as e:
+            raise DataError(f"cannot allocate a model of emb={config.emb} "
+                            f"hidden={config.hidden}: {e}") from None
         seq2seq.save_model(args.model, params, vocab, meta)
         write_log(lines)
     print(f"model written to {args.model}; log in {log_path}")
@@ -149,12 +153,16 @@ def cmd_train(args):
 
 def _read_queries(path):
     """(line number, base, tag) for each base<TAB>tag row of a TSV (a third
-    column, if present, is ignored)."""
+    column, if present, is ignored). An empty base or tag is a data error,
+    as in the training reader."""
     queries = []
     for lineno, parts in corpus.read_rows(path):
         if len(parts) < 2:
             raise DataError(f"{path}:{lineno}: expected base<TAB>tag")
-        queries.append((lineno, parts[0], parts[1]))
+        base, tag = parts[0], parts[1]
+        if not base or not tag:
+            raise DataError(f"{path}:{lineno}: {'tag' if base else 'base'} must be non-empty")
+        queries.append((lineno, base, tag))
     return queries
 
 

@@ -8,7 +8,7 @@ that is excluded from the per-affix rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import levenshtein
 
@@ -109,27 +109,13 @@ class EvalReport:
     n: int = 0
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "accuracy": self.accuracy,
-            "avg_edit": self.avg_edit,
-            "kbest_accuracy": self.kbest_accuracy,
-            "per_tag": {
-                tag: {"accuracy": a, "avg_edit": e, "n": n}
-                for tag, (a, e, n) in self.per_tag.items()
-            },
-            "affix_f1": [
-                {
-                    "affix": r.affix,
-                    "precision": r.precision,
-                    "recall": r.recall,
-                    "f1": r.f1,
-                    "support": r.support,
-                }
-                for r in self.affix_rows
-            ],
-        }
+        """The fields as plain JSON values: each ``per_tag`` tuple as a dict,
+        and ``affix_rows`` under the key ``affix_f1``."""
+        d = asdict(self)
+        d["per_tag"] = {tag: dict(zip(("accuracy", "avg_edit", "n"), row))
+                        for tag, row in self.per_tag.items()}
+        d["affix_f1"] = d.pop("affix_rows")
+        return d
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

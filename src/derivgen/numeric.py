@@ -157,11 +157,10 @@ def global_grad_norm(params):
 def adadelta_step(params, state, clip_norm=None):
     """One Adadelta update over all parameters; clears gradients afterwards.
 
-    Per tensor it computes, in this order,
+    Per tensor, Zeiler's three rules:
     ``eg = rho * eg + (1 - rho) * g * g``,
     ``delta = -sqrt(ed + eps) / sqrt(eg + eps) * g`` and
-    ``ed = rho * ed + (1 - rho) * delta * delta``, in place, with two
-    temporaries of the tensor's size.
+    ``ed = rho * ed + (1 - rho) * delta * delta``; then ``p += delta``.
     """
     if clip_norm is not None:
         norm = global_grad_norm(params)
@@ -174,21 +173,13 @@ def adadelta_step(params, state, clip_norm=None):
         g = p.grad
         eg = state.accum_grad_sq[name]
         ed = state.accum_update_sq[name]
-        tmp = np.multiply(g, 1.0 - rho)
-        tmp *= g
         eg *= rho
-        eg += tmp
-        delta = np.add(ed, eps)
-        np.sqrt(delta, out=delta)
-        np.negative(delta, out=delta)
-        np.add(eg, eps, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        delta /= tmp
+        eg += (1.0 - rho) * g * g
+        delta = np.sqrt(ed + eps)
+        delta /= -np.sqrt(eg + eps)
         delta *= g
-        np.multiply(delta, 1.0 - rho, out=tmp)
-        tmp *= delta
         ed *= rho
-        ed += tmp
+        ed += (1.0 - rho) * delta * delta
         p.values += delta
         g[...] = 0.0
 

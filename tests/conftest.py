@@ -245,9 +245,9 @@ def reference_decode(ref, base, tag, window=3, history_len=2, cap=5):
 
 
 def reference_adadelta_step(params, state, clip_norm=None):
-    """Adadelta as one expression per accumulator, each temporary a fresh
-    array: the arithmetic that the in-place ``numeric.adadelta_step`` must
-    reproduce bit for bit."""
+    """Adadelta as one expression per rule, each temporary a fresh array:
+    the arithmetic that ``numeric.adadelta_step``, which divides and scales
+    ``delta`` in place, must reproduce bit for bit."""
     if clip_norm is not None:
         norm = nm.global_grad_norm(params)
         if norm > clip_norm:

@@ -267,6 +267,30 @@ class TestTrainPredictEvaluate:
         assert run(["evaluate", "--pred", str(pred), "--gold", str(splits / "test.tsv")]) == 2
         assert f"{pred}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["baseline", "seq2seq"])
+    def test_empty_base_or_tag_names_the_line(self, tmp_path, toy_dataset, capsys, kind):
+        _, model = self.pipeline(tmp_path, toy_dataset, kind)
+        queries = tmp_path / "q.tsv"
+        for row, field in (("\tADVERB", "base"), ("abc\t", "tag"), ("\t", "base")):
+            capsys.readouterr()
+            queries.write_text(f"abc\tADVERB\n{row}\n", encoding="utf-8")
+            assert run(["predict", "--model", str(model), "--input", str(queries)]) == 2
+            out, err = capsys.readouterr()
+            assert f"{queries}:2: {field} must be non-empty" in err
+            assert out == ""
+
+    def test_unallocatable_sizes_are_data_error(self, tmp_path, toy_dataset, capsys):
+        # 2**51 float64 columns per embedding row are beyond any 57-bit address
+        # space, so numpy refuses the first table at once and allocates nothing
+        splits = tmp_path / "splits"
+        run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
+        capsys.readouterr()
+        assert run(["train", "--kind", "seq2seq", "--splits", str(splits), "--model", str(tmp_path / "m"),
+                    "--emb", str(2 ** 51), "--hidden", "4", "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"emb={2 ** 51} hidden=4" in err
+        assert not (tmp_path / "m").exists()
+
     def test_missing_splits_is_data_error(self, tmp_path):
         assert run(["train", "--kind", "baseline", "--splits", str(tmp_path / "none"),
                     "--model", str(tmp_path / "m")]) == 2

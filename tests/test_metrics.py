@@ -13,6 +13,51 @@ from derivgen.metrics import (
 
 from conftest import levenshtein_oracle
 
+# ``EvalReport.to_json`` of the report in ``test_json_text_is_pinned``
+PINNED_REPORT_JSON = """\
+{
+  "accuracy": 0.3333333333333333,
+  "affix_f1": [
+    {
+      "affix": "ly",
+      "f1": 0.6666666666666666,
+      "precision": 1.0,
+      "recall": 0.5,
+      "support": 2
+    },
+    {
+      "affix": "er",
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 1
+    },
+    {
+      "affix": "or",
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 0
+    }
+  ],
+  "avg_edit": 0.6666666666666666,
+  "k": 2,
+  "kbest_accuracy": 0.6666666666666666,
+  "n": 3,
+  "per_tag": {
+    "ADVERB": {
+      "accuracy": 0.5,
+      "avg_edit": 0.5,
+      "n": 2
+    },
+    "AGENT": {
+      "accuracy": 0.0,
+      "avg_edit": 1.0,
+      "n": 1
+    }
+  }
+}"""
+
 
 class TestAccuracy:
     def test_all_equal(self):
@@ -163,6 +208,13 @@ class TestEvaluate:
         assert d["accuracy"] == 1.0
         table = report.to_table()
         assert "acc" in table and "affix" in table
+
+    def test_json_text_is_pinned(self):
+        # two tags, an affix row for each of er, ly and or, a 2-best list
+        gold = [Triple("quick", "ADVERB", "quickly"), Triple("work", "AGENT", "worker"),
+                Triple("slow", "ADVERB", "slowly")]
+        report = evaluate([["quickly", "quickness"], ["workor", "worker"], ["slowy"]], gold)
+        assert report.to_json() == PINNED_REPORT_JSON
 
     def test_mismatch_errors(self):
         with pytest.raises(ValueError, match="length mismatch"):

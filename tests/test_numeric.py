@@ -238,9 +238,11 @@ class TestAdadelta:
 
     def test_bit_identical_to_reference_expression(self):
         # several steps on tensors of different shapes, with and without a
-        # clip that binds, against the expression form in conftest
+        # clip that binds, against the expression form in conftest; the
+        # paper-size stacked dec_W, (300, 500), is above numpy's 256 KiB
+        # threshold for reusing expression temporaries in place
         local = np.random.default_rng(3)
-        shapes = {"w": (7, 5), "b": (5,), "v": (1,)}
+        shapes = {"w": (7, 5), "b": (5,), "v": (1,), "dec_W": (300, 500)}
         start = {n: local.normal(size=s) for n, s in shapes.items()}
         grads = [{n: local.normal(size=s) * 3.0 for n, s in shapes.items()} for _ in range(6)]
         for clip in (None, 0.5):
