@@ -142,7 +142,9 @@ def cmd_train(args):
         vocab = corpus.build_vocab(split.train)
         try:
             params, meta, lines = seq2seq.train(split, vocab, config)
-        except MemoryError as e:
+        except (MemoryError, ValueError) as e:  # numpy: too large to allocate, or to index
+            if not isinstance(e, MemoryError) and "array is too big" not in str(e):
+                raise  # a ValueError that is not about the sizes
             raise DataError(f"cannot allocate a model of emb={config.emb} "
                             f"hidden={config.hidden}: {e}") from None
         seq2seq.save_model(args.model, params, vocab, meta)
@@ -193,9 +195,12 @@ def cmd_predict(args):
             rows = [(b, t, 1, loaded.predict(b, t), 0.0) for _, b, t in queries]
         else:
             params, vocab, _ = loaded
-            for lineno, _, t in queries:
+            for lineno, b, t in queries:
                 if t not in vocab.tag_to_id:
                     raise DataError(f"{args.input}:{lineno}: unknown tag: {t!r}")
+                for c in b:  # an unknown character would be <unk>, which no output can hold
+                    if c not in vocab.char_to_id:
+                        raise DataError(f"{args.input}:{lineno}: unknown character: {c!r}")
             sources = [vocab.encode_source(b, t) for _, b, t in queries]
             kbest = seq2seq.beam_batch(sources, params, vocab,
                                        max(args.beam or params.config.beam, args.k), args.k)

@@ -59,9 +59,9 @@ def scale(a, c):
 
 
 def sigmoid_array(x):
-    """Logistic function of a plain array, stable for large |x|."""
+    """Logistic function of a plain array, stable for large |x|, in one division."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_array(x):

@@ -2,15 +2,17 @@
 
 Bidirectional GRU encoder, single-layer GRU decoder with additive
 attention, tanh output MLP, trained by teacher-forced negative
-log-likelihood under Adadelta. One encoder forward and one decoder step
-(attention, GRU update, output MLP) on arrays serve both training and
-decoding. The training loss scores a whole padded minibatch at
+log-likelihood under Adadelta. One encoder forward and the parts of one
+decoder step (attention scoring, GRU update, output MLP) on arrays serve
+both training and decoding. The training loss scores a whole padded minibatch at
 once: the encoder, the teacher-forced decoder, and the output layer with the
 loss are single tape nodes with hand-written backward passes. Generation is
 one beam search over a batch of sources, returning a k-best list of
 hypotheses for each; it runs on plain arrays, batched over the live beams
-of all the sources, and builds no gradient tape. Greedy decoding, which
-scores the dev set after each epoch, is that search at beam 1.
+of all the sources, and builds no gradient tape; ``encode`` computes the step's
+products that depend only on the source or only on the previous token once per
+batch. Greedy decoding, which scores the dev set after each epoch, is that
+search at beam 1.
 """
 
 from __future__ import annotations
@@ -206,15 +208,20 @@ def _attention_tanh(states, keys, att_w):
     return np.tanh(keys[:, None] + _project(states, att_w)[..., None, :])
 
 
-def _attention(states, keys, hidden, att_w, att_v, neg=None):
-    """Additive attention on arrays for the states (B, W, H) of B sources,
-    each over its own source's rows of ``hidden`` (B, n, 2H), whose keys are
-    ``keys`` (B, n, H): the (B, W, 2H) contexts and the (B, W, n) weights.
-    ``neg`` (B, n) is -inf at padded source positions and 0 elsewhere."""
+def _attention_weights(states, keys, att_w, att_v, neg=None):
+    """Additive attention weights (B, W, n) on arrays for the states (B, W, H)
+    of B sources, each over its own source's keys (B, n, H). ``neg`` (B, n)
+    is -inf at padded source positions and 0 elsewhere."""
     scores = _attention_tanh(states, keys, att_w) @ att_v
     if neg is not None:
         scores += neg[:, None]
-    weights = nm.softmax_array(scores)
+    return nm.softmax_array(scores)
+
+
+def _attention(states, keys, hidden, att_w, att_v, neg=None):
+    """``_attention_weights`` and the (B, W, 2H) contexts they give over each
+    source's rows of ``hidden`` (B, n, 2H): the contexts and the weights."""
+    weights = _attention_weights(states, keys, att_w, att_v, neg)
     return weights @ hidden, weights
 
 
@@ -257,12 +264,17 @@ def _gru_run_back(g, x, w, u, run, mask, reverse):
 @dataclass
 class EncodedSource:
     """Encoder output for a padded batch of B sources, on plain arrays; ``neg``
-    marks the padding, and is None for a batch without any."""
+    marks the padding, and is None for a batch without any. ``encode`` also
+    fills the products of the decoder step that depend only on the source,
+    ``values``, or only on the previous token, ``tokens``; the training
+    encoder leaves them None."""
 
     hidden: np.ndarray      # (B, n, 2*hidden): concatenated [fwd; bwd] states
     annot_proj: np.ndarray  # (B, n, hidden): attention keys, hidden @ att_U.T
     init_state: np.ndarray  # (B, hidden): decoder start state
     neg: np.ndarray = None  # (B, n): -inf at padded source positions, 0 elsewhere
+    values: np.ndarray = None  # (B, n, 4*hidden): hidden's part of [GRU input | output MLP]
+    tokens: np.ndarray = None  # (|V|, 4*hidden): each token's part of them, GRU bias included
 
 
 _DIRECTIONS = (("enc_f", False), ("enc_b", True))  # (GRU prefix, reverse?)
@@ -285,7 +297,9 @@ def _encoder(ids, mask, v):
 
 def encode(sources, params):
     """Run the encoder over a list of sources as one padded batch, on plain
-    arrays; each field gets a leading (B,) axis."""
+    arrays, and precompute the decoder step's ``values`` and ``tokens``
+    tables for the current weights; each field but ``tokens`` gets a leading
+    (B,) axis."""
     if not len(sources):
         raise ValueError("encode: empty list of sources")
     for ids in sources:
@@ -295,7 +309,13 @@ def encode(sources, params):
             if not 0 <= int(i) < params.vocab_size:
                 raise ValueError(f"encode: id {i} out of vocabulary range [0, {params.vocab_size})")
     ids, mask = _pad(sources, 0)  # any id pads: the masks skip padding
-    return _encoder(ids, mask, params.arrays)[0]
+    v, e, h = params.arrays, params.config.emb, params.config.hidden
+    enc = _encoder(ids, mask, v)[0]
+    # columns for the context and the embedding; dec_W is [emb | context], out_W1 [emb | state | context]
+    enc.values = _project(enc.hidden, np.concatenate([v["dec_W"][:, e:], v["out_W1"][:, e + h:]]))
+    enc.tokens = v["tgt_emb"] @ np.concatenate([v["dec_W"][:, :e], v["out_W1"][:, :e]]).T
+    enc.tokens[:, :3 * h] += v["dec_b"]
+    return enc
 
 
 def _encode(params, ids, mask):
@@ -319,23 +339,12 @@ def _encode(params, ids, mask):
     return enc, nm.Tensor(enc.hidden, parents=[params[n] for n in names], backward=bw)
 
 
-def _decoder_cell(ge, states, enc, v):
-    """One decoder step on the arrays ``v`` for the states (B, W, H), each over its own source in
-    ``enc``, with ``ge`` (B * W, 3H) the embedding part of the GRU input: the new states and the
-    contexts as (B * W, .) rows, the weights (B, W, n) and the GRU activations."""
-    context, weights = _attention(states, enc.annot_proj, enc.hidden, v["att_W"], v["att_v"],
-                                  enc.neg)
-    context = _rows(context)
-    gx = ge + context @ v["dec_W"][:, -context.shape[-1]:].T
-    new_states, acts = _gru_cell(gx, _rows(states), v["dec_U"])
-    return new_states, context, weights, acts
-
-
-def _output_mlp(e, d, v):
-    """The output MLP on the arrays ``v`` for the rows ``e`` (N, e) of previous-token embeddings
-    and ``d`` (N, 3H) of [state; context]: its tanh activations and log-distributions."""
-    w1 = v["out_W1"]
-    mlp = np.tanh(e @ w1[:, :e.shape[-1]].T + d @ w1[:, e.shape[-1]:].T + v["out_b1"])
+def _output_mlp(a, d, v):
+    """The output MLP on the arrays ``v`` for the rows ``a`` (N, H) of the embedding part of its
+    pre-activation and ``d`` (N, k) of the features after the embedding, [state; context] or the
+    state alone: its tanh activations and log-distributions."""
+    n = v["tgt_emb"].shape[-1]
+    mlp = np.tanh(a + d @ v["out_W1"][:, n:n + d.shape[-1]].T + v["out_b1"])
     return mlp, nm.log_softmax_array(mlp @ v["out_W2"].T + v["out_b2"])
 
 
@@ -346,17 +355,18 @@ def decode_step(prev_tokens, states, enc, params, rows=None):
     ``prev_tokens`` holds (Q, W) token ids and ``states`` the decoder states
     that ``encode`` or a step returned; ``rows``, the (query, parent) index
     of the (Q, W) rows of them to advance, defaults to all of them, (Q, W,
-    H). ``enc`` is a batch of Q sources, one per query. Returns the next
-    states (Q, W, H), the log-distributions (Q, W, |V|) and the attention
-    weights (Q, W, n).
+    H). ``enc`` is a batch of Q sources, one per query, from ``encode``: the
+    context enters as the weights times its ``values``, and the previous
+    token as a row of its ``tokens``. Returns the next states (Q, W, H), the
+    log-distributions (Q, W, |V|) and the attention weights (Q, W, n).
     """
     if rows is not None:
         states = states[rows]
-    v = params.arrays
-    emb = v["tgt_emb"][prev_tokens.ravel()]
-    ge = emb @ v["dec_W"][:, :emb.shape[-1]].T + v["dec_b"]
-    new, context, weights, _ = _decoder_cell(ge, states, enc, v)
-    log_probs = _output_mlp(emb, np.concatenate([new, context], axis=1), v)[1]
+    v, n = params.arrays, 3 * states.shape[-1]
+    weights = _attention_weights(states, enc.annot_proj, v["att_W"], v["att_v"], enc.neg)
+    x = enc.tokens[prev_tokens.ravel()] + _rows(weights @ enc.values)  # [GRU input | MLP part]
+    new = _gru_cell(x[:, :n], _rows(states), v["dec_U"])[0]
+    log_probs = _output_mlp(x[:, n:], new, v)[1]
     return new.reshape(states.shape), log_probs.reshape(states.shape[:2] + (-1,)), weights
 
 
@@ -373,7 +383,8 @@ def _output_layer(params, emb, dec, rows, targets):
     def features():
         return _rows(emb.values)[rows], _rows(dec.values)[rows]
 
-    mlp, log_probs = _output_mlp(*features(), params.arrays)
+    e_rows, d_rows = features()
+    mlp, log_probs = _output_mlp(e_rows @ w1_emb.T, d_rows, params.arrays)
     picked = (np.arange(len(targets)), targets)
 
     def bw(g):
@@ -410,8 +421,9 @@ def _decoder_run(params, enc, hidden, emb):
     s = enc.init_state
     for t in range(steps):
         prev[:, t] = s
-        s, context, w_t, acts[t] = _decoder_cell(ge[:, t], s[:, None], enc, params.arrays)
-        weights[:, t], out[:, t, :hid], out[:, t, hid:] = w_t[:, 0], s, context
+        context, w_t = _attention(s[:, None], keys, src, aw, av, enc.neg)
+        s, acts[t] = _gru_cell(ge[:, t] + context[:, 0] @ w_ctx.T, s, uv)
+        weights[:, t], out[:, t, :hid], out[:, t, hid:] = w_t[:, 0], s, context[:, 0]
 
     def bw(g):
         dgx, d_ctx = np.empty(out.shape), np.empty(out.shape[:-1] + (2 * hid,))
@@ -573,8 +585,9 @@ def beam_batch(sources, params, vocab, beam=12, k=1, max_len=None):
         rows = (np.array(keep)[:, None], np.array(parents).reshape(-1, width))
         if len(keep) < len(queries):  # drop the finished queries, sources and all
             queries = [queries[i] for i in keep]
-            enc = EncodedSource(enc.hidden[keep], enc.annot_proj[keep], None,
-                                None if enc.neg is None else enc.neg[keep])
+            enc = EncodedSource(None, enc.annot_proj[keep], None,  # the step reads no hidden
+                                None if enc.neg is None else enc.neg[keep], enc.values[keep],
+                                enc.tokens)
     return [[Hypothesis(seq, -neg, seq[-1] == eos) for neg, _, seq, _ in hyps] for hyps in done]
 
 

@@ -363,6 +363,13 @@ def mul(a, b):
                      backward=lambda g: (g * b.values, g * a.values))
 
 
+def reference_sigmoid_array(x):
+    """``numeric.sigmoid_array`` in its two-division ``np.where`` form, which
+    the program's one-division form must equal bit for bit."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     out = nm.sigmoid_array(a.values)
     return nm.Tensor(out, parents=(a,), backward=lambda g: (g * out * (1.0 - out),))

@@ -281,15 +281,19 @@ class TestTrainPredictEvaluate:
 
     def test_unallocatable_sizes_are_data_error(self, tmp_path, toy_dataset, capsys):
         # 2**51 float64 columns per embedding row are beyond any 57-bit address
-        # space, so numpy refuses the first table at once and allocates nothing
+        # space (a MemoryError), and att_W's 2**90 elements at hidden 2**45 beyond
+        # numpy's largest array size (a ValueError): numpy refuses either at once
+        # and allocates nothing
         splits = tmp_path / "splits"
         run(["split", "--data", str(toy_dataset), "--seed", "1", "--out-dir", str(splits)])
         capsys.readouterr()
-        assert run(["train", "--kind", "seq2seq", "--splits", str(splits), "--model", str(tmp_path / "m"),
-                    "--emb", str(2 ** 51), "--hidden", "4", "--epochs", "1"]) == 2
-        err = capsys.readouterr().err
-        assert f"emb={2 ** 51} hidden=4" in err
-        assert not (tmp_path / "m").exists()
+        for emb, hidden in ((2 ** 51, 4), (4, 2 ** 45)):
+            assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
+                        "--model", str(tmp_path / "m"), "--emb", str(emb), "--hidden", str(hidden),
+                        "--epochs", "1"]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot allocate a model of emb={emb} hidden={hidden}" in err
+            assert not (tmp_path / "m").exists()
 
     def test_missing_splits_is_data_error(self, tmp_path):
         assert run(["train", "--kind", "baseline", "--splits", str(tmp_path / "none"),
@@ -438,7 +442,7 @@ class TestModelFiles:
             assert name in err
 
     def test_committed_benchmark_checkpoint_loads(self, tmp_path, capsys):
-        assert self.predict(BENCH_CHECKPOINT, tmp_path, "quick\tADVERB\nbake\tAGENT\n") == 0
+        assert self.predict(BENCH_CHECKPOINT, tmp_path, "bold\tADVERB\nbead\tAGENT\n") == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
         assert [r[2] for r in rows] == ["1", "2", "1", "2"]
 
@@ -467,6 +471,14 @@ class TestPredictArguments:
         assert TestModelFiles.predict(path, tmp_path, "ab\tT\n# a comment\nba\tNOPE\n") == 2
         out, err = capsys.readouterr()
         assert f"{tmp_path / 'q.tsv'}:3: unknown tag: 'NOPE'" in err
+        assert out == ""
+
+    def test_unknown_character_names_the_line(self, tmp_path, capsys):
+        # the encoder would read it as <unk>, which no output can contain
+        path, _, _ = TestModelFiles.saved(tmp_path)
+        assert TestModelFiles.predict(path, tmp_path, "ab\tT\nabé\tT\n") == 2
+        out, err = capsys.readouterr()
+        assert f"{tmp_path / 'q.tsv'}:2: unknown character: 'é'" in err
         assert out == ""
 
 

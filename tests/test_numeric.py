@@ -6,7 +6,8 @@ import pytest
 from derivgen import numeric as nm
 
 from conftest import (add, concat, finite_difference, log_softmax, matmul, max_grad_rel_error,
-                      mul, pick, reference_adadelta_step, row, sigmoid, stack, sub, sum_all, tanh)
+                      mul, pick, reference_adadelta_step, reference_sigmoid_array, row, sigmoid,
+                      stack, sub, sum_all, tanh)
 
 rng = np.random.default_rng(12345)
 
@@ -52,6 +53,20 @@ class TestForwardOps:
         out = nm.sigmoid_array(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0) and out[1] == pytest.approx(1.0)
+
+    def test_sigmoid_bit_identical_to_reference_form(self):
+        # the one-division form against the two-division form, on the GRU's shapes,
+        # signed zeros, saturating and overflowing values, NaN and a 0-d value
+        gen = np.random.default_rng(7)
+        specials = [0.0, -0.0, 800.0, -800.0, 1000.0, -1000.0, np.nan]
+        for shape in ((1, 128), (12, 128), (20, 200), (20, 12, 200)):
+            x = gen.normal(scale=6.0, size=shape)
+            x.flat[:len(specials)] = specials
+            got, want = nm.sigmoid_array(x), reference_sigmoid_array(x)
+            assert got.shape == shape and got.tobytes() == want.tobytes()
+        for x in (np.float64(0.3), np.float64(-2.5), np.float64(np.nan)):
+            got, want = nm.sigmoid_array(x), reference_sigmoid_array(x)
+            assert np.shape(got) == () and np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_concat_and_stack(self):
         a = nm.constant(np.array([1.0, 2.0]))

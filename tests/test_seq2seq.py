@@ -15,6 +15,7 @@ from derivgen.seq2seq import (
     Seq2SeqConfig,
     Seq2SeqParams,
     _attention,
+    _checkpoint_arrays,
     _encode,
     beam_batch,
     beam_search,
@@ -590,6 +591,22 @@ class TestBeamBatch:
             assert beam_batch([], params, vocab, beam=beam, k=k) == []
             with pytest.raises(ValueError, match="out of vocabulary range"):
                 beam_batch([vocab.encode_source("ab", "T"), [99]], params, vocab, beam=beam, k=k)
+
+    def test_sees_weights_updated_in_place(self):
+        # the decoder step's per-token and per-source tables come from the
+        # weights of the call: after an in-place update, as Adadelta makes,
+        # decoding equals that of fresh parameters built from the new arrays
+        params, vocab = TestArrayModel.random_model(4)
+        sources = self.sources(vocab)
+        before = beam_batch(sources, params, vocab, beam=3, k=2)
+        rng = np.random.default_rng(4)
+        for name in ("tgt_emb", "dec_W", "out_W1"):
+            params[name].values += rng.uniform(-0.5, 0.5, size=params[name].values.shape)
+        fresh = Seq2SeqParams(params.vocab_size, params.config,
+                              {n: a.copy() for n, a in _checkpoint_arrays(params).items()})
+        after = beam_batch(sources, params, vocab, beam=3, k=2)
+        assert after == beam_batch(sources, fresh, vocab, beam=3, k=2)
+        assert after != before  # the update is not vacuous
 
     def test_builds_no_tape(self, monkeypatch):
         params, vocab = TestArrayModel.random_model(1)
