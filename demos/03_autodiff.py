@@ -2,9 +2,9 @@
 
 Fits a tiny logistic regressor on the package's tape, and cross-checks
 one gradient by finite differences. The package's tape has only ``scale``
-and ``gather`` as generic ops, since the sequence model's layers are fused
-nodes of their own, so the ops this regressor needs are written here as
-``Tensor`` nodes with their own backward closures.
+as a generic op, since the sequence model's layers are fused nodes of
+their own, so the ops this regressor needs are written here as ``Tensor``
+nodes with their own backward closures.
 """
 
 import numpy as np

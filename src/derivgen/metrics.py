@@ -147,10 +147,7 @@ def evaluate(kbest, gold_triples, inventory=DEFAULT_AFFIXES):
     ``kbest`` is one ranked list of strings per gold triple; rank 1 is used
     for accuracy, edit distance, and affix F1.
     """
-    if len(kbest) != len(gold_triples):
-        raise ValueError(f"length mismatch: {len(kbest)} predictions vs {len(gold_triples)} golds")
-    if not kbest:
-        raise ValueError("empty prediction list")
+    _check_aligned(kbest, gold_triples)
     one_best = [hyps[0] if hyps else "" for hyps in kbest]
     gold = [t.derived for t in gold_triples]
     k = max(len(hyps) for hyps in kbest)

@@ -3,9 +3,9 @@
 Everything runs on numpy float64 arrays. A ``Tensor`` wraps one array and,
 when produced by an op, remembers its parents and a backward closure, so
 ``backward`` on a scalar loss can push gradients down to the parameters by
-a reverse topological walk. The tape's only generic ops are ``scale`` and
-``gather``: the sequence model's layers are fused nodes of their own. No
-broadcasting, no GPU, no other optimizers.
+a reverse topological walk. The tape's only generic op is ``scale``: the
+sequence model's layers are fused nodes of their own. No broadcasting, no
+GPU, no other optimizers.
 """
 
 from __future__ import annotations
@@ -78,22 +78,6 @@ def log_softmax_array(x):
     return shifted - logz
 
 
-def gather(table, ids):
-    """Embedding lookup: rows ``ids`` (any shape) of a 2-D table, repeats
-    allowed, as an ``ids.shape + (columns,)`` tensor."""
-    ids = np.asarray(ids, dtype=np.intp)
-    n = table.values.shape[0]
-    if ids.size and not (0 <= ids.min() and ids.max() < n):
-        raise ValueError(f"gather: ids {ids.tolist()} out of range for table with {n} rows")
-
-    def bw(g):
-        gt = np.zeros_like(table.values)
-        np.add.at(gt, ids, g)
-        return (gt,)
-
-    return Tensor(table.values[ids], parents=(table,), backward=bw)
-
-
 def backward(loss):
     """Populate parameter gradients with d(loss)/d(param).
 
@@ -142,8 +126,8 @@ class AdadeltaState:
     def __init__(self, params, rho=0.95, eps=1e-6):
         if not 0.0 < rho < 1.0:
             raise ValueError(f"rho must be in (0,1), got {rho}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        if not 0.0 < eps < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         self.rho = rho
         self.eps = eps
         self.accum_grad_sq = {name: np.zeros_like(p.values) for name, p in params.items()}

@@ -218,13 +218,6 @@ def _attention_weights(states, keys, att_w, att_v, neg=None):
     return nm.softmax_array(scores)
 
 
-def _attention(states, keys, hidden, att_w, att_v, neg=None):
-    """``_attention_weights`` and the (B, W, 2H) contexts they give over each
-    source's rows of ``hidden`` (B, n, 2H): the contexts and the weights."""
-    weights = _attention_weights(states, keys, att_w, att_v, neg)
-    return weights @ hidden, weights
-
-
 def _gru_run(gx, u, mask=None, reverse=False):
     """A GRU run on arrays from a zero state over the input projections
     ``gx`` (..., T, 3H), last step first if ``reverse``; where ``mask``
@@ -370,18 +363,18 @@ def decode_step(prev_tokens, states, enc, params, rows=None):
     return new.reshape(states.shape), log_probs.reshape(states.shape[:2] + (-1,)), weights
 
 
-def _output_layer(params, emb, dec, rows, targets):
+def _output_layer(params, feats, rows, targets):
     """The output MLP on the features [emb; state; context] of the steps
-    ``rows`` (flat indices over the leading axes) of ``emb`` (..., e) and of
-    the decoder rows ``dec`` (..., 3H), as one tape node: the summed
-    negative log-likelihood of ``targets`` (N,). The backward pass gathers
-    the features again rather than keeping them."""
+    ``rows`` (flat indices over the leading axes) of the decoder node
+    ``feats`` (..., e + 3H), as one tape node: the summed negative
+    log-likelihood of ``targets`` (N,). The backward pass gathers the
+    features again rather than keeping them."""
     w1, b1, w2, b2 = (params[name] for name in ("out_W1", "out_b1", "out_W2", "out_b2"))
-    n_emb = emb.values.shape[-1]
+    n_emb = params.config.emb
     w1_emb, w1_dec = w1.values[:, :n_emb], w1.values[:, n_emb:]
 
     def features():
-        return _rows(emb.values)[rows], _rows(dec.values)[rows]
+        return np.split(_rows(feats.values)[rows], [n_emb], axis=-1)
 
     e_rows, d_rows = features()
     mlp, log_probs = _output_mlp(e_rows @ w1_emb.T, d_rows, params.arrays)
@@ -392,40 +385,45 @@ def _output_layer(params, emb, dec, rows, targets):
         d_logits[picked] -= 1.0
         d_logits *= g
         d_pre = (d_logits @ w2.values) * (1.0 - mlp * mlp)
-        d_emb, d_dec = np.zeros_like(emb.values), np.zeros_like(dec.values)
-        _rows(d_emb)[rows] = d_pre @ w1_emb
-        _rows(d_dec)[rows] = d_pre @ w1_dec
-        return (d_emb, d_dec, _weight_grad(d_pre, features()), d_pre.sum(axis=0),
+        d_feats = np.zeros_like(feats.values)
+        _rows(d_feats)[rows, :n_emb] = d_pre @ w1_emb
+        _rows(d_feats)[rows, n_emb:] = d_pre @ w1_dec
+        return (d_feats, _weight_grad(d_pre, features()), d_pre.sum(axis=0),
                 d_logits.T @ mlp, d_logits.sum(axis=0))
 
-    return nm.Tensor(-log_probs[picked].sum(), backward=bw, parents=(emb, dec, w1, b1, w2, b2))
+    return nm.Tensor(-log_probs[picked].sum(), backward=bw, parents=(feats, w1, b1, w2, b2))
 
 
-def _decoder_run(params, enc, hidden, emb):
+def _decoder_run(params, enc, hidden, prev_ids):
     """Teacher-forced decoder steps from the start states of ``enc`` as one
-    tape node of the (B, S, 3H) rows [state; context] of the steps, where
-    ``hidden`` is ``_encode``'s node, ``emb`` (B, S, e) embeds each step's
-    previous token and attention skips the padding that ``enc.neg`` marks.
-    Its backward pass runs back through time by hand, recomputing the
-    attention's tanh activations, and on through the keys and the start
-    states into the source rows."""
-    names = ("dec_W", "dec_U", "dec_b", "att_W", "att_v", "att_U", "init_W", "init_b")
-    w, uv, b, aw, av, au, init_w, _ = (params.arrays[n] for n in names)
-    src, keys, e = enc.hidden, enc.annot_proj, emb.values
-    n_emb, hid, steps = e.shape[-1], len(av), e.shape[-2]
+    tape node of the output layer's features [emb; state; context] (B, S,
+    e + 3H), where ``hidden`` is ``_encode``'s node, ``prev_ids`` (B, S)
+    holds each step's previous token and attention skips the padding that
+    ``enc.neg`` marks. Its backward pass runs back through time by hand,
+    recomputing the attention's tanh activations, and on through the keys
+    and the start states into the source rows."""
+    names = ("tgt_emb", "dec_W", "dec_U", "dec_b", "att_W", "att_v", "att_U", "init_W", "init_b")
+    table, w, uv, b, aw, av, au, init_w, _ = (params.arrays[n] for n in names)
+    src, keys = enc.hidden, enc.annot_proj
+    n_emb, hid, steps = table.shape[-1], len(av), prev_ids.shape[-1]
     w_emb, w_ctx = w[:, :n_emb], w[:, n_emb:]
+    feats = np.empty(prev_ids.shape + (n_emb + 3 * hid,))
+    feats[..., :n_emb] = table[prev_ids]
+    e, out = feats[..., :n_emb], feats[..., n_emb:]  # out: [state; context]
     # the embedding part of every step's input projection, in one product
     ge = _project(e, w_emb) + b
-    out, prev = np.empty(e.shape[:-1] + (3 * hid,)), np.empty(e.shape[:-1] + (hid,))
-    weights, acts = np.empty(e.shape[:-1] + src.shape[1:2]), [None] * steps
+    prev = np.empty(prev_ids.shape + (hid,))
+    weights, acts = np.empty(prev_ids.shape + src.shape[1:2]), [None] * steps
     s = enc.init_state
     for t in range(steps):
         prev[:, t] = s
-        context, w_t = _attention(s[:, None], keys, src, aw, av, enc.neg)
+        w_t = _attention_weights(s[:, None], keys, aw, av, enc.neg)
+        context = w_t @ src
         s, acts[t] = _gru_cell(ge[:, t] + context[:, 0] @ w_ctx.T, s, uv)
         weights[:, t], out[:, t, :hid], out[:, t, hid:] = w_t[:, 0], s, context[:, 0]
 
     def bw(g):
+        g_emb, g = g[..., :n_emb], g[..., n_emb:]
         dgx, d_ctx = np.empty(out.shape), np.empty(out.shape[:-1] + (2 * hid,))
         da = np.empty_like(prev)
         d_keys, d_v = np.zeros_like(keys), np.zeros(hid)
@@ -445,7 +443,8 @@ def _decoder_run(params, enc, hidden, emb):
             d_keys += act
             da[:, t] = act.sum(axis=-2)
             ds = ds + da[:, t] @ aw
-        d_emb = (_rows(dgx) @ w_emb).reshape(e.shape)
+        d_table = np.zeros_like(table)  # the output layer's embedding gradient plus the steps'
+        np.add.at(d_table, prev_ids, g_emb + (_rows(dgx) @ w_emb).reshape(e.shape))
         d_src = np.swapaxes(weights, -1, -2) @ d_ctx
         d_src += d_keys @ au
         # the start state is tanh(first @ init_W.T + init_b), where first is the
@@ -453,11 +452,11 @@ def _decoder_run(params, enc, hidden, emb):
         d_init = ds * (1.0 - enc.init_state * enc.init_state)
         first = src[:, 0, hid:]
         d_src[:, 0, hid:] += d_init @ init_w
-        return (d_emb, d_src, *_gru_param_grads(dgx, (e, out[..., hid:]), prev, acts),
+        return (d_src, d_table, *_gru_param_grads(dgx, (e, out[..., hid:]), prev, acts),
                 _rows(da).T @ _rows(prev), d_v, (_rows(src).T @ _rows(d_keys)).T,
                 (first.T @ d_init).T, d_init.sum(axis=0))
 
-    return nm.Tensor(out, backward=bw, parents=(emb, hidden, *(params[n] for n in names)))
+    return nm.Tensor(feats, backward=bw, parents=(hidden, *(params[n] for n in names)))
 
 
 def _pad(seqs, pad_id):
@@ -488,10 +487,9 @@ def sequence_loss(triples, params, vocab):
     src, src_mask = _pad([vocab.encode_source(t.base, t.tag) for t in batch], vocab.pad_id)
     prev, tgt_mask = _pad([[vocab.bos_id] + y[:-1] for y in targets], vocab.pad_id)
     enc, hidden = _encode(params, src, src_mask)
-    emb = nm.gather(params["tgt_emb"], prev)
-    states = _decoder_run(params, enc, hidden, emb)
+    feats = _decoder_run(params, enc, hidden, prev)
     rows = slice(None) if tgt_mask is None else np.flatnonzero(tgt_mask)
-    return _output_layer(params, emb, states, rows, np.concatenate(targets))
+    return _output_layer(params, feats, rows, np.concatenate(targets))
 
 
 @dataclass
@@ -689,9 +687,9 @@ def load_model(path):
 
     The tensors must have exactly the names and shapes that the sidecar's
     vocab and config give, with each GRU as its nine per-gate tensors, which
-    are stacked again, and the config must be a valid ``Seq2SeqConfig``.
-    Anything else, or a file that cannot be read, raises ValueError naming
-    the file.
+    are stacked again; they must hold only finite values, and the config
+    must be a valid ``Seq2SeqConfig``. Anything else, or a file that cannot
+    be read, raises ValueError naming the file.
     """
     arrays, _ = nm.load_params(path)
     sidecar_path = path + ".meta.json"
@@ -710,5 +708,7 @@ def load_model(path):
         if got != want:
             raise ValueError(f"{path}: tensor {name} has shape {got}, but the vocab and "
                              f"config in {sidecar_path} give {want}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: tensor {name} holds a non-finite value")
     params = Seq2SeqParams(len(vocab), config, arrays)
     return params, vocab, sidecar.get("metrics", {})

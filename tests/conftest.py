@@ -271,9 +271,9 @@ def reference_adadelta_step(params, state, clip_norm=None):
 # --- The op-by-op seq2seq reference -----------------------------------------
 # The encoder and the decoder step built one elementary op per tape node,
 # from tensor ops that the program itself no longer needs: the program's
-# tape has only ``numeric.scale``, ``numeric.gather`` and the fused nodes of
-# ``seq2seq``. Those fused nodes, used in training, and the array functions
-# ``encode`` and ``decode_step``, used in decoding, are checked against it.
+# tape has only ``numeric.scale`` and the fused nodes of ``seq2seq``. Those
+# fused nodes, used in training, and the array functions ``encode`` and
+# ``decode_step``, used in decoding, are checked against it.
 
 
 def _unbroadcast(grad, shape):
@@ -413,6 +413,22 @@ def row(table, index):
         return (gt,)
 
     return nm.Tensor(table.values[index], parents=(table,), backward=bw)
+
+
+def gather(table, ids):
+    """Embedding lookup: rows ``ids`` (any shape) of a 2-D table, repeats
+    allowed, as an ``ids.shape + (columns,)`` tensor."""
+    ids = np.asarray(ids, dtype=np.intp)
+    n = table.values.shape[0]
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"gather: ids {ids.tolist()} out of range for table with {n} rows")
+
+    def bw(g):
+        gt = np.zeros_like(table.values)
+        np.add.at(gt, ids, g)
+        return (gt,)
+
+    return nm.Tensor(table.values[ids], parents=(table,), backward=bw)
 
 
 def gru_step(params, prefix, x, h):

@@ -207,6 +207,14 @@ class TestTrainPredictEvaluate:
             assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
                         "--model", str(tmp_path / "m"), "--epochs", "1"] + bad) == 2
             assert capsys.readouterr().err.startswith("error: invalid seq2seq hyperparameters")
+        # a non-finite eps would make every weight NaN, from a flag or a config file
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("eps = nan\n", encoding="utf-8")
+        for bad in (["--eps", "nan"], ["--eps", "inf"], ["--config", str(cfg)]):
+            capsys.readouterr()
+            assert run(["train", "--kind", "seq2seq", "--splits", str(splits),
+                        "--model", str(tmp_path / "m"), "--epochs", "1"] + bad) == 2
+            assert capsys.readouterr().err.startswith("error: eps must be positive and finite")
         assert not (tmp_path / "m").exists()
 
     def test_explicit_zero_is_a_value(self, tmp_path, toy_dataset, capsys):
@@ -390,6 +398,11 @@ def _zero_batch(path, params, vocab):
     _set_sidecar_config(path, batch=0)  # predict decodes in batches of this many queries
 
 
+def _nan_in_checkpoint(path, params, vocab):
+    params["out_b2"].values[0] = np.nan  # every hypothesis would score NaN
+    save_model(str(path), params, vocab)
+
+
 def _not_utf8_checkpoint(path, params, vocab):
     path.write_bytes(b"\xff\xfe" + path.read_bytes())
 
@@ -431,6 +444,7 @@ class TestModelFiles:
         (_negative_max_extra, ("m.ckpt.meta.json", "unreadable model sidecar")),
         (_zero_batch, ("m.ckpt.meta.json", "unreadable model sidecar")),
         (_not_utf8_checkpoint, ("m.ckpt", "unreadable checkpoint")),
+        (_nan_in_checkpoint, ("m.ckpt", "out_b2", "non-finite")),
     ])
     def test_damaged_model_is_model_error(self, tmp_path, capsys, damage, names):
         path, params, vocab = self.saved(tmp_path)

@@ -5,9 +5,9 @@ import pytest
 
 from derivgen import numeric as nm
 
-from conftest import (add, concat, finite_difference, log_softmax, matmul, max_grad_rel_error,
-                      mul, pick, reference_adadelta_step, reference_sigmoid_array, row, sigmoid,
-                      stack, sub, sum_all, tanh)
+from conftest import (add, concat, finite_difference, gather, log_softmax, matmul,
+                      max_grad_rel_error, mul, pick, reference_adadelta_step,
+                      reference_sigmoid_array, row, sigmoid, stack, sub, sum_all, tanh)
 
 rng = np.random.default_rng(12345)
 
@@ -156,7 +156,7 @@ class TestBackward:
         c = nm.parameter(rng.normal(size=(3, 2)))
 
         def build():
-            x = nm.gather(table, [2, 0, 2])
+            x = gather(table, [2, 0, 2])
             ones = nm.constant(np.ones((2, 5)))
             h = tanh(matmul(concat([x, c], axis=1), concat([W, ones], axis=0)))
             lp = log_softmax(h)
@@ -176,7 +176,7 @@ class TestBackward:
         v = nm.parameter(rng.normal(size=4))
 
         def build():
-            x = concat([nm.gather(table, [[0, 3, 3], [2, 1, 0]]), c], axis=-1)
+            x = concat([gather(table, [[0, 3, 3], [2, 1, 0]]), c], axis=-1)
             return add(sum_all(tanh(matmul(x, W))), sum_all(matmul(x, v)))
 
         assert matmul(nm.constant(np.zeros((2, 3, 4))), W).values.shape == (2, 3, 5)
@@ -189,9 +189,9 @@ class TestBackward:
 
     def test_gather_range(self):
         table = nm.parameter(rng.normal(size=(5, 3)))
-        assert np.array_equal(nm.gather(table, [4, 4, 0]).values, table.values[[4, 4, 0]])
+        assert np.array_equal(gather(table, [4, 4, 0]).values, table.values[[4, 4, 0]])
         with pytest.raises(ValueError, match="out of range"):
-            nm.gather(table, [0, 5])
+            gather(table, [0, 5])
 
 class TestAdadelta:
     def test_zero_gradient_leaves_params(self):
@@ -281,8 +281,9 @@ class TestAdadelta:
         p = {"p": nm.parameter(np.zeros(1))}
         with pytest.raises(ValueError):
             nm.AdadeltaState(p, rho=1.5)
-        with pytest.raises(ValueError):
-            nm.AdadeltaState(p, eps=0.0)
+        for eps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                nm.AdadeltaState(p, eps=eps)
 
 
 class TestCheckpoint:

@@ -14,7 +14,7 @@ from derivgen.seq2seq import (
     EncodedSource,
     Seq2SeqConfig,
     Seq2SeqParams,
-    _attention,
+    _attention_weights,
     _checkpoint_arrays,
     _encode,
     beam_batch,
@@ -53,9 +53,8 @@ def attention_at_start(enc, params):
     """The attention of a one-source ``enc``'s start state: the context and
     the weights over source positions."""
     v = params.arrays
-    context, weights = _attention(enc.init_state[:, None], enc.annot_proj, enc.hidden, v["att_W"],
-                                  v["att_v"])
-    return context[0, 0], weights[0, 0]
+    weights = _attention_weights(enc.init_state[:, None], enc.annot_proj, v["att_W"], v["att_v"])
+    return (weights @ enc.hidden)[0, 0], weights[0, 0]
 
 
 class TestEncode:
@@ -313,8 +312,9 @@ class TestSequenceLoss:
         assert float(sequence_loss(Triple("a", "T", "b"), params, vocab).values) >= 0.0
 
     def test_minibatch_tape_is_fused(self, monkeypatch):
-        # a ragged minibatch's loss is four tape nodes: the encoder, the
-        # target embeddings, the decoder run and the output layer with the loss
+        # a ragged minibatch's loss is a chain of three tape nodes: the
+        # encoder, the decoder run, which embeds the previous tokens itself,
+        # and the output layer with the loss
         params, vocab = TestArrayModel.random_model(0)
         built = []
         init = nm.Tensor.__init__
@@ -328,7 +328,7 @@ class TestSequenceLoss:
         assert len(built) == 1  # the count sees every tensor built
         built.clear()
         sequence_loss(list(TestMinibatch.BATCHES[1]), params, vocab)
-        assert len(built) == 4
+        assert len(built) == 3
 
     def test_gradient_matches_finite_differences(self):
         # micro model: embedding 4, hidden 3, vocab 6 (one char, one tag)
