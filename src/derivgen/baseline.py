@@ -14,6 +14,7 @@ the whole input is consumed, whether to keep inserting or finish.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -78,10 +79,7 @@ def align(base, derived):
     actions = []
     i, j = 0, 0
     while i < n or j < m:
-        if i < n and j < m and base[i] == derived[j] and dp[i][j] == dp[i + 1][j + 1]:
-            actions.append((SUB, derived[j]))
-            i, j = i + 1, j + 1
-        elif i < n and j < m and dp[i][j] == dp[i + 1][j + 1] + 1:
+        if i < n and j < m and dp[i][j] == dp[i + 1][j + 1] + (base[i] != derived[j]):
             actions.append((SUB, derived[j]))
             i, j = i + 1, j + 1
         elif i < n and dp[i][j] == dp[i + 1][j] + 1:
@@ -449,9 +447,12 @@ def load_baseline(path):
                     if col is None:
                         raise ValueError(f"{path}:{lineno}: action {action!r} is not in the action set of {tag!r}")
                     try:
-                        entries[tag].append((feat, col, float(w)))
+                        weight = float(w)
                     except ValueError:
-                        raise ValueError(f"{path}:{lineno}: weight {w!r} is not a number") from None
+                        weight = math.nan
+                    if not math.isfinite(weight):
+                        raise ValueError(f"{path}:{lineno}: weight {w!r} is not a finite number")
+                    entries[tag].append((feat, col, weight))
                 else:
                     raise ValueError(f"{path}:{lineno}: malformed model line")
     except UnicodeDecodeError as e:

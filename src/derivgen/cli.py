@@ -47,26 +47,25 @@ def load_config_file(path):
     line.
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in OPTIONS:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            kind, low = OPTIONS[key], raw.lower()
-            try:
-                if low in ("none", "null"):
-                    values[key] = None
-                elif kind is bool:
-                    values[key] = {"true": True, "false": False}[low]
-                else:
-                    values[key] = kind(raw)
-            except (KeyError, ValueError):
-                raise DataError(f"{path}:{lineno}: {key} must be {_TYPE_NAMES[kind]}, not {raw}") from None
+    for lineno, parts in corpus.read_rows(path):
+        line = "\t".join(parts).split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in OPTIONS:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        kind, low = OPTIONS[key], raw.lower()
+        try:
+            if low in ("none", "null"):
+                values[key] = None
+            elif kind is bool:
+                values[key] = {"true": True, "false": False}[low]
+            else:
+                values[key] = kind(raw)
+        except (KeyError, ValueError):
+            raise DataError(f"{path}:{lineno}: {key} must be {_TYPE_NAMES[kind]}, not {raw}") from None
     return values
 
 

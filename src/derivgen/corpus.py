@@ -117,13 +117,16 @@ RESERVED = (PAD, BOS, EOS, UNK)
 
 
 class Vocab:
-    """Bidirectional symbol<->id maps shared by both models.
+    """One symbol list shared by both models: ``id_to_symbol[i]`` is the
+    symbol with id ``i``.
 
     Characters and tags live in a single id space (a tag is just one more
-    source token); four reserved symbols occupy ids 0..3. Id assignment is
-    deterministic: reserved symbols, then characters sorted by codepoint,
-    then tags sorted lexicographically.
+    source token). The list is the reserved symbols (ids 0..3, the class
+    constants ``pad_id``..``unk_id``), then the characters sorted by
+    codepoint, then the tags sorted lexicographically.
     """
+
+    pad_id, bos_id, eos_id, unk_id = range(len(RESERVED))
 
     def __init__(self, chars, tags):
         chars = sorted(set(chars))
@@ -131,32 +134,15 @@ class Vocab:
         overlap = set(chars) & set(tags)
         if overlap:
             raise ValueError(f"characters and tags overlap: {sorted(overlap)}")
-        symbols = list(RESERVED) + chars + tags
-        self.symbol_to_id = {s: i for i, s in enumerate(symbols)}
-        self.id_to_symbol = {i: s for i, s in enumerate(symbols)}
         self.chars = chars
         self.tags = tags
+        self.id_to_symbol = list(RESERVED) + chars + tags
+        self.symbol_to_id = {s: i for i, s in enumerate(self.id_to_symbol)}
         self.char_to_id = {c: self.symbol_to_id[c] for c in chars}
         self.tag_to_id = {t: self.symbol_to_id[t] for t in tags}
 
     def __len__(self):
-        return len(self.symbol_to_id)
-
-    @property
-    def pad_id(self):
-        return self.symbol_to_id[PAD]
-
-    @property
-    def bos_id(self):
-        return self.symbol_to_id[BOS]
-
-    @property
-    def eos_id(self):
-        return self.symbol_to_id[EOS]
-
-    @property
-    def unk_id(self):
-        return self.symbol_to_id[UNK]
+        return len(self.id_to_symbol)
 
     def char_id(self, c):
         return self.char_to_id.get(c, self.unk_id)
@@ -172,15 +158,14 @@ class Vocab:
         return [self.char_id(c) for c in derived] + [self.eos_id]
 
     def decode_output(self, ids):
-        """Ids back to a string; EOS stops, other reserved ids are skipped."""
+        """Ids back to a string: EOS stops, ids outside the characters are skipped."""
+        first, end = len(RESERVED), len(RESERVED) + len(self.chars)
         out = []
         for i in ids:
-            s = self.id_to_symbol[i]
-            if s == EOS:
+            if i == self.eos_id:
                 break
-            if s in RESERVED or s in self.tag_to_id:
-                continue
-            out.append(s)
+            if first <= i < end:
+                out.append(self.id_to_symbol[i])
         return "".join(out)
 
     def to_dict(self):

@@ -150,21 +150,18 @@ def evaluate(kbest, gold_triples, inventory=DEFAULT_AFFIXES):
     _check_aligned(kbest, gold_triples)
     one_best = [hyps[0] if hyps else "" for hyps in kbest]
     gold = [t.derived for t in gold_triples]
-    k = max(len(hyps) for hyps in kbest)
-    per_tag = {}
-    by_tag = {}
-    for hyps, t in zip(kbest, gold_triples):
-        by_tag.setdefault(t.tag, []).append((hyps[0] if hyps else "", t.derived))
-    for tag, pairs in by_tag.items():
-        p = [x for x, _ in pairs]
-        g = [y for _, y in pairs]
-        per_tag[tag] = (accuracy(p, g), avg_edit_distance(p, g), len(pairs))
+    counts = {}  # tag -> [exact matches, summed edit distance, queries]
+    for p, t in zip(one_best, gold_triples):
+        c = counts.setdefault(t.tag, [0, 0, 0])
+        c[0] += p == t.derived
+        c[1] += levenshtein(p, t.derived)
+        c[2] += 1
     return EvalReport(
-        accuracy=accuracy(one_best, gold),
-        avg_edit=avg_edit_distance(one_best, gold),
+        accuracy=sum(c[0] for c in counts.values()) / len(gold),
+        avg_edit=sum(c[1] for c in counts.values()) / len(gold),
         kbest_accuracy=kbest_accuracy(kbest, gold),
-        k=k,
-        per_tag=per_tag,
+        k=max(len(hyps) for hyps in kbest),
+        per_tag={tag: (hits / n, dist / n, n) for tag, (hits, dist, n) in counts.items()},
         affix_rows=affix_f1(one_best, gold, inventory),
         n=len(gold),
     )

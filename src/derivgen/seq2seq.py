@@ -624,6 +624,10 @@ def train(split, vocab, config):
     """
     if not split.train:
         raise ValueError("train: empty training split")
+    for t in split.dev:  # dev scoring would fail on it after a whole epoch
+        if t.tag not in vocab.tag_to_id:
+            raise ValueError(f"train: dev triple {t.base}\t{t.tag}\t{t.derived} has "
+                             f"tag {t.tag!r}, which no training triple has")
     lines = []
     params = Seq2SeqParams(len(vocab), config)
     state = nm.AdadeltaState(params.tensors, rho=config.rho, eps=config.eps)
@@ -633,7 +637,7 @@ def train(split, vocab, config):
         f"epochs={config.epochs} beam={config.beam} rho={config.rho} eps={config.eps} "
         f"seed={config.seed}"
     )
-    best = None  # (acc, -edit, -epoch, snapshot)
+    best = None  # (key, snapshot, epoch)
     train_data = list(split.train)
     for epoch in range(1, config.epochs + 1):
         order_rng.shuffle(train_data)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from derivgen import numeric as nm
+from derivgen import seq2seq
 from derivgen.cli import load_config_file, main
-from derivgen.corpus import Triple, Vocab, write_triples
+from derivgen.corpus import DatasetSplit, Triple, Vocab, write_split, write_triples
 from derivgen.seq2seq import Seq2SeqConfig, Seq2SeqParams, load_model, predict_kbest, save_model
 from derivgen.synthetic import generate
 
@@ -303,6 +304,23 @@ class TestTrainPredictEvaluate:
             assert f"cannot allocate a model of emb={emb} hidden={hidden}" in err
             assert not (tmp_path / "m").exists()
 
+    def test_dev_tag_unseen_in_training_is_data_error(self, tmp_path, capsys, monkeypatch):
+        splits = tmp_path / "splits"
+        write_split(splits, DatasetSplit(
+            (Triple("walk", "AGENT", "walker"), Triple("talk", "AGENT", "talker"),
+             Triple("bold", "ADVERB", "boldly")),
+            (Triple("kind", "NOMINAL", "kindness"),), (), seed=0))
+
+        def no_epoch(*args):
+            raise AssertionError("a training batch ran")
+
+        monkeypatch.setattr(seq2seq, "sequence_loss", no_epoch)
+        assert run(["train", "--kind", "seq2seq", "--splits", str(splits), "--model",
+                    str(tmp_path / "m"), "--emb", "4", "--hidden", "4", "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "kind\tNOMINAL\tkindness" in err and "'NOMINAL'" in err
+        assert not (tmp_path / "m").exists()
+
     def test_missing_splits_is_data_error(self, tmp_path):
         assert run(["train", "--kind", "baseline", "--splits", str(tmp_path / "none"),
                     "--model", str(tmp_path / "m")]) == 2
@@ -516,6 +534,11 @@ def _non_numeric_weight(lines):
     lines[i] = lines[i].rsplit("\t", 1)[0] + "\tabc"
 
 
+def _nan_weight(lines):
+    i = next(i for i, line in enumerate(lines) if not line.startswith("!") and i)
+    lines[i] = lines[i].rsplit("\t", 1)[0] + "\tnan"
+
+
 def _non_integer_header_value(lines):
     lines[0] = lines[0].replace("window=3", "window=x")
 
@@ -553,6 +576,7 @@ class TestBaselineModelFiles:
         (_not_utf8_after_header, ("not UTF-8 text",)),
         (_header_only, ("per_tag=0", "'*'")),
         (_sections_under_a_tag, ("per_tag=0", "'*'")),
+        (_nan_weight, (":11:", "'nan'")),  # the file's first weight line
     ])
     def test_damaged_baseline_is_model_error(self, tmp_path, capsys, damage, names):
         with open(BASELINE_V1, encoding="utf-8") as fh:
@@ -672,13 +696,18 @@ class TestMissingFiles:
 
 
 class TestInputEncoding:
-    @pytest.mark.parametrize("command", ["split", "predict", "evaluate"])
-    def test_tsv_not_utf8_names_the_line(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["split", "predict", "evaluate", "train"])
+    def test_tsv_not_utf8_names_the_line(self, tmp_path, toy_dataset, capsys, command):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(b"# triples\ncaf\xe9\tAGENT\tcafer\n")
-        args = {"split": ["split", "--data", str(bad), "--out-dir", str(tmp_path / "splits")],
+        splits = tmp_path / "splits"
+        if command == "train":  # the bad file as its config
+            assert run(["split", "--data", str(toy_dataset), "--out-dir", str(splits)]) == 0
+        args = {"split": ["split", "--data", str(bad), "--out-dir", str(splits)],
                 "predict": ["predict", "--model", BASELINE_V1, "--input", str(bad)],
-                "evaluate": ["evaluate", "--pred", str(bad), "--gold", str(bad)]}[command]
+                "evaluate": ["evaluate", "--pred", str(bad), "--gold", str(bad)],
+                "train": ["train", "--kind", "baseline", "--splits", str(splits),
+                          "--model", str(tmp_path / "m"), "--config", str(bad)]}[command]
         assert run(args) == 2
         err = capsys.readouterr().err
         assert f"{bad}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in err
